@@ -2,10 +2,11 @@
 //! `naru-serve` worker pool, and drives a closed-loop client fleet against
 //! 1/2/4-worker configurations, writing `BENCH_serve.json`:
 //!
-//! * **single_session_batched** — the PR 4 reference point: one `Session`
-//!   answering the whole request stream through one `estimate_batch` call
-//!   (the `batched` mode of `BENCH_infer.json`, re-measured on the same
-//!   hardware and workload so the serve numbers are directly comparable);
+//! * **single_session_batched** — the reference point: one `Session`
+//!   answering the whole request stream through one `estimate_batch` call,
+//!   which walks the requests in order (the `batched` mode of
+//!   `BENCH_infer.json`, re-measured on the same hardware and workload so
+//!   the serve numbers are directly comparable);
 //! * **serve\[\]** — per worker count, two measured phases:
 //!   * *throughput* (open-loop burst): every request submitted up front,
 //!     so workers drain full micro-batches back to back — the sustained
@@ -19,13 +20,6 @@
 //!   relative to a perfectly linear scale-up of the 1-worker pool — and
 //!   the run prints a degradation warning when added workers stop paying
 //!   for themselves (expected wherever workers outnumber cores);
-//! * **fused_batch** — the same burst stream through two 1-worker pools
-//!   that differ only in [`ServeConfig::fused_batching`]: fused pools
-//!   answer each drained micro-batch through one cross-request
-//!   `estimate_batch` call (constraints sorted batch-wide so shared
-//!   column-prefix forward passes run once), unfused pools walk each
-//!   request alone. Answers are asserted bit-identical either way and the
-//!   fused pool must not lose on throughput;
 //! * **skewed** — a Zipf-skewed, repetitive request stream served twice in
 //!   the same run: once by the full tiered pipeline (exact-stats tier 0,
 //!   sketch tier 1, model tier 2, predicate-keyed estimate cache) and once
@@ -108,8 +102,6 @@ struct ServeRun {
     e2e_ms: Vec<f64>,
     /// Micro-batches executed across both phases.
     batches: u64,
-    /// Micro-batches answered through the fused cross-request walk.
-    fused_batches: u64,
 }
 
 /// Requests each overload-storm class keeps in flight at once.
@@ -206,13 +198,16 @@ fn main() {
     // The request stream: a generated workload, cycled up to the request
     // budget so the queue actually fills.
     let mut rng = StdRng::seed_from_u64(7);
-    let workload = generate_workload(&table, &WorkloadConfig::default(), scale.requests.min(64), &mut rng);
+    // One extra query, kept out of the stream, warms the reference session
+    // up without handing a measured query a memoized prefix for free.
+    let mut workload = generate_workload(&table, &WorkloadConfig::default(), scale.requests.min(64) + 1, &mut rng);
+    let warm = workload.pop().expect("workload has a warm-up query");
     let requests: Vec<Query> = (0..scale.requests).map(|i| workload[i % workload.len()].query.clone()).collect();
 
     // Reference: one session, one estimate_batch call over the whole
     // stream — the `batched` mode of BENCH_infer.json on this hardware.
     let mut session = engine.session();
-    let _ = session.estimate(&requests[0]); // warm the scratch, like bench_infer
+    let _ = session.estimate(&warm.query); // warm the scratch, like bench_infer
     let batch_start = Instant::now();
     let batch_results = session.estimate_batch(&requests);
     let batch_secs = batch_start.elapsed().as_secs_f64();
@@ -224,7 +219,7 @@ fn main() {
     // Open-loop burst: queue the whole stream up front so workers drain
     // full micro-batches back to back, then collect every response. This is
     // the pool's sustained rate, with no client round-trip idle on the
-    // critical path. Shared by the worker sweep and the fused-batch phase.
+    // critical path.
     let run_burst = |server: &Server| -> f64 {
         let burst_start = Instant::now();
         let tickets: Vec<_> =
@@ -293,7 +288,6 @@ fn main() {
             queue_wait_ms,
             e2e_ms,
             batches: metrics.batches,
-            fused_batches: metrics.fused_batches,
         };
         println!(
             "{} worker(s): burst {:.1} queries/sec, closed-loop {:.1} queries/sec ({} clients, {} micro-batches)",
@@ -322,40 +316,6 @@ fn main() {
             );
         }
     }
-
-    // ---- Fused-batch phase: cross-request fused walks on vs off ----
-    //
-    // Same pool shape, same burst stream; the only difference is
-    // `ServeConfig::fused_batching`. With it on, a drained micro-batch of
-    // plain full-walk requests is answered through one `estimate_batch`
-    // call, so constraint sorting and shared column-prefix forward passes
-    // amortize across the batch. With it off, each request walks alone.
-    // Answers are bit-identical either way; only throughput may differ.
-    let fused_config =
-        ServeConfig::default().with_workers(1).with_queue_capacity(scale.requests.max(64)).with_max_batch(16);
-    let fused_server = Server::start(engine.clone(), fused_config.clone()).expect("valid serve config");
-    let fused_qps = run_burst(&fused_server);
-    let fused_metrics = fused_server.shutdown();
-    assert!(fused_metrics.fused_batches > 0, "a burst through a fused pool must exercise the fused walk");
-
-    let unfused_server =
-        Server::start(engine.clone(), fused_config.with_fused_batching(false)).expect("valid serve config");
-    let unfused_qps = run_burst(&unfused_server);
-    let unfused_metrics = unfused_server.shutdown();
-    assert_eq!(unfused_metrics.fused_batches, 0, "a non-fused pool must never take the fused path");
-
-    println!(
-        "fused batch walks: fused {:.1} queries/sec ({} fused micro-batches) vs unfused {:.1} queries/sec ({:.3}x)",
-        fused_qps,
-        fused_metrics.fused_batches,
-        unfused_qps,
-        fused_qps / unfused_qps
-    );
-    assert!(
-        fused_qps >= unfused_qps,
-        "fused batch walks must not lose to per-request walks on a saturating burst: \
-         {fused_qps:.1} vs {unfused_qps:.1} queries/sec"
-    );
 
     // ---- Skewed phase: tiered pipeline + cache vs tier-2-only ----
     //
@@ -636,30 +596,19 @@ fn main() {
     out.push_str("  \"serve\": [\n");
     for (i, run) in runs.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"workers\": {}, \"clients\": {}, \"queries_per_sec\": {:.2}, \"closed_loop_queries_per_sec\": {:.2}, \"scaling_efficiency\": {:.3}, \"batches\": {}, \"fused_batches\": {}, \"queue_wait\": {}, \"e2e\": {}}}{}\n",
+            "    {{\"workers\": {}, \"clients\": {}, \"queries_per_sec\": {:.2}, \"closed_loop_queries_per_sec\": {:.2}, \"scaling_efficiency\": {:.3}, \"batches\": {}, \"queue_wait\": {}, \"e2e\": {}}}{}\n",
             run.workers,
             run.clients,
             run.queries_per_sec,
             run.closed_loop_queries_per_sec,
             scaling_efficiency[i],
             run.batches,
-            run.fused_batches,
             latency_quantiles_json(&run.queue_wait_ms),
             latency_quantiles_json(&run.e2e_ms),
             if i + 1 < runs.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
-    out.push_str("  \"fused_batch\": {\n");
-    out.push_str("    \"workers\": 1,\n");
-    out.push_str(&format!("    \"requests\": {},\n", scale.requests));
-    out.push_str(&format!(
-        "    \"fused\": {{\"queries_per_sec\": {fused_qps:.2}, \"fused_batches\": {}}},\n",
-        fused_metrics.fused_batches
-    ));
-    out.push_str(&format!("    \"unfused\": {{\"queries_per_sec\": {unfused_qps:.2}, \"fused_batches\": 0}},\n"));
-    out.push_str(&format!("    \"fused_vs_unfused\": {:.3}\n", fused_qps / unfused_qps));
-    out.push_str("  },\n");
     out.push_str("  \"skewed\": {\n");
     out.push_str(&format!("    \"requests\": {skewed_requests},\n"));
     out.push_str(&format!("    \"distinct_queries\": {},\n", pool.len()));
@@ -674,7 +623,6 @@ fn main() {
         Provenance::Tier0Exact,
         Provenance::Tier1Sketch,
         Provenance::Tier2Model,
-        Provenance::Relaxed,
         Provenance::Degraded,
         Provenance::CacheHit,
     ];
@@ -722,6 +670,10 @@ fn main() {
     out.push_str(&format!("    \"serve_metrics\": {}\n", net_metrics.to_json_indented(2)));
     out.push_str("  },\n");
     out.push_str(&format!("  \"best_queries_per_sec\": {best:.2},\n"));
+    // The reference walks the cycled stream in order, so a repeated query
+    // is never adjacent to its previous copy: it re-walks every column but
+    // the prefix it shares with its predecessor, as in the pool, and the
+    // ratio compares equal work.
     out.push_str(&format!(
         "  \"best_vs_single_session_batched\": {:.3}\n",
         if single_session_qps > 0.0 { best / single_session_qps } else { f64::INFINITY }

@@ -68,20 +68,6 @@ impl LatencyStats {
     }
 }
 
-/// The relaxed (quantized-weight) inference phase of `bench_infer`: the
-/// latency summary of the `Precision::Relaxed` walk plus the worst
-/// per-query q-error factor between its answers and the exact walk's
-/// (`max(rel, exact) / min(rel, exact)`, selectivities floored to dodge
-/// zero division). The factor is what the relaxed-parity test tier bounds;
-/// the report records the in-run value next to the speed win it buys.
-#[derive(Debug, Clone)]
-pub struct RelaxedStats {
-    /// Latency summary of the relaxed walk.
-    pub stats: LatencyStats,
-    /// Worst per-query q-error factor vs the exact walk (`>= 1.0`).
-    pub q_error_delta_max: f64,
-}
-
 /// Quantile summary of a latency sample (milliseconds) as a JSON object —
 /// the per-phase building block of `BENCH_serve.json`, where the
 /// samples-per-second normalization of [`LatencyStats`] does not apply
@@ -118,14 +104,10 @@ pub fn time_workload(workload: &[LabeledQuery], mut estimate: impl FnMut(&Labele
 /// batched-estimation measurement (`Session::estimate_batch` over the same
 /// workload) and is reported alongside its queries/sec ratio over the
 /// single-query optimized path.
-/// `relaxed`, when present, is the quantized-weight `Precision::Relaxed`
-/// measurement over the same workload, reported with its queries/sec ratio
-/// over the exact optimized path and its worst in-run q-error factor.
 pub fn render_report(
     baseline: &LatencyStats,
     optimized: &LatencyStats,
     batched: Option<&LatencyStats>,
-    relaxed: Option<&RelaxedStats>,
     meta: &[(&str, String)],
 ) -> String {
     let speedup = if optimized.mean_ms > 0.0 { baseline.mean_ms / optimized.mean_ms } else { f64::INFINITY };
@@ -145,11 +127,6 @@ pub fn render_report(
     if let Some(batched) = batched {
         out.push_str(&format!("  \"batched\": {},\n", batched.to_json()));
         out.push_str(&format!("  \"batched_vs_optimized_queries_per_sec\": {:.3},\n", vs_optimized(batched)));
-    }
-    if let Some(relaxed) = relaxed {
-        out.push_str(&format!("  \"relaxed\": {},\n", relaxed.stats.to_json()));
-        out.push_str(&format!("  \"relaxed_vs_optimized_queries_per_sec\": {:.3},\n", vs_optimized(&relaxed.stats)));
-        out.push_str(&format!("  \"relaxed_q_error_delta_max\": {:.4},\n", relaxed.q_error_delta_max));
     }
     out.push_str(&format!("  \"speedup_queries_per_sec\": {:.2}\n", speedup));
     out.push_str("}\n");
@@ -176,12 +153,10 @@ mod tests {
     #[test]
     fn report_is_valid_enough_json() {
         let stats = LatencyStats::from_latencies(&[1.0, 2.0, 3.0], 30);
-        let relaxed = RelaxedStats { stats: stats.clone(), q_error_delta_max: 1.25 };
         let json = render_report(
             &stats,
             &stats,
             Some(&stats),
-            Some(&relaxed),
             &[("rows", "5000".to_string()), ("label", "\"x\"".to_string())],
         );
         assert!(json.starts_with("{\n"));
@@ -190,9 +165,6 @@ mod tests {
         assert!(json.contains("\"optimized\": "));
         assert!(json.contains("\"batched\": "));
         assert!(json.contains("\"batched_vs_optimized_queries_per_sec\": 1.000"));
-        assert!(json.contains("\"relaxed\": {\"p50_ms\""));
-        assert!(json.contains("\"relaxed_vs_optimized_queries_per_sec\": 1.000"));
-        assert!(json.contains("\"relaxed_q_error_delta_max\": 1.2500"));
         assert!(json.contains("\"speedup_queries_per_sec\": 1.00"));
         assert!(json.contains("\"rows\": 5000"));
         // Balanced braces (cheap structural check, no JSON parser vendored).

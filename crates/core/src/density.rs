@@ -37,12 +37,6 @@ pub struct InferenceScratch {
     pub(crate) enc_cols: usize,
     /// Whether `enc` describes the current batch at all.
     pub(crate) enc_valid: bool,
-    /// Whether the current walk runs in relaxed precision: densities with a
-    /// quantized mirror (see [`ConditionalDensity::prepare_relaxed`]) route
-    /// their forward passes through it while this is set. Owned by the
-    /// sampler, which sets it per walk from the session's `Precision` and
-    /// the global kernel policy.
-    pub(crate) relaxed: bool,
     /// Scratch for bridging flat tuples to the allocating `conditionals`.
     tuple_vecs: Vec<Vec<u32>>,
 }
@@ -61,7 +55,6 @@ impl InferenceScratch {
             enc: Matrix::zeros(0, 0),
             enc_cols: 0,
             enc_valid: false,
-            relaxed: false,
             tuple_vecs: Vec::new(),
         }
     }
@@ -109,21 +102,6 @@ pub trait ConditionalDensity {
 
     /// Domain sizes of each column.
     fn domain_sizes(&self) -> &[usize];
-
-    /// Builds whatever inference-only relaxed-precision state the density
-    /// supports (e.g. quantized weight mirrors). Called once by
-    /// `Engine::new` before the density is shared; the default is a no-op —
-    /// oracles and closed-form baselines have nothing to relax.
-    fn prepare_relaxed(&mut self) {}
-
-    /// Whether this density can actually serve relaxed-precision walks.
-    /// Governs [`Provenance`](naru_query::Provenance) tagging: a session in
-    /// relaxed mode only tags answers `Relaxed` when the density reports
-    /// support, so densities without a quantized mirror keep their exact
-    /// provenance (and bit-exact answers) regardless of the requested mode.
-    fn supports_relaxed(&self) -> bool {
-        false
-    }
 
     /// Conditional distributions `P(X_col | prefix)` for a batch of
     /// partially-filled tuples.

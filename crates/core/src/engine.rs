@@ -31,39 +31,15 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use naru_query::{ColumnConstraint, Estimate, EstimateError, Provenance, Query};
+use naru_query::{Estimate, EstimateError, Query};
 
 use crate::density::ConditionalDensity;
-use crate::sampler::{progressive_walk, progressive_walk_memo, PrefixMemo, SamplerScratch};
+use crate::sampler::{progressive_walk, SamplerScratch};
 use crate::stats::TableStats;
 use crate::tiered::{TierConfig, TieredSession};
 
 /// A density shareable across threads — what an [`Engine`] holds.
 pub type SharedDensity = Arc<dyn ConditionalDensity + Send + Sync>;
-
-/// Numeric precision of a [`Session`]'s model walks.
-///
-/// `Relaxed` routes the network forward passes through the density's
-/// quantized (per-row i8 weights, f32 accumulation) inference mirror when
-/// one exists — faster, with a bounded accuracy delta asserted by the
-/// relaxed-parity test tier — and tags answers
-/// [`Provenance::Relaxed`]. On densities without a mirror (oracles,
-/// baselines, a model trained after `Engine` construction) `Relaxed` is a
-/// no-op: answers stay bit-exact with their ordinary provenance.
-///
-/// Independent of the per-session knob, setting the process-wide kernel
-/// policy to [`naru_tensor::KernelPolicy::Quantized`] relaxes *every*
-/// session the same way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Precision {
-    /// Exact f32 forward passes; results are bit-identical to the reference
-    /// walk. The default.
-    #[default]
-    Exact,
-    /// Quantized forward passes where supported; answers tagged
-    /// [`Provenance::Relaxed`].
-    Relaxed,
-}
 
 /// The immutable half of the estimation API: a trained conditional density
 /// plus the table metadata needed to turn selectivities into cardinalities.
@@ -89,13 +65,7 @@ pub struct Engine {
 impl Engine {
     /// Wraps a density as an engine. `num_rows` is the row count of the
     /// modeled table (used to report estimated cardinalities).
-    ///
-    /// Construction is the point where the density's weights freeze for
-    /// serving, so this is also where its relaxed-precision state (e.g.
-    /// quantized weight mirrors) is built — see
-    /// [`ConditionalDensity::prepare_relaxed`].
-    pub fn new<D: ConditionalDensity + Send + Sync + 'static>(mut density: D, num_rows: u64) -> Self {
-        density.prepare_relaxed();
+    pub fn new<D: ConditionalDensity + Send + Sync + 'static>(density: D, num_rows: u64) -> Self {
         Self::from_arc(Arc::new(density), num_rows)
     }
 
@@ -158,10 +128,8 @@ impl Engine {
             num_rows: self.num_rows,
             num_samples: self.default_samples,
             seed: self.default_seed,
-            precision: Precision::Exact,
             scratch: SamplerScratch::default(),
             constraints: Vec::new(),
-            memo: PrefixMemo::default(),
         }
     }
 
@@ -212,18 +180,21 @@ impl Engine {
 /// takes `&mut self`, so a single session cannot be used from two threads
 /// at once — to serve concurrently, open one session per thread instead of
 /// wrapping one in a lock.
+///
+/// Each model walk resumes after the column prefix its compiled
+/// constraints share with the session's previous walk (same seed and
+/// sample count), skipping those columns' forward passes. Answers are
+/// bit-identical to a fresh session's either way.
 pub struct Session {
     density: SharedDensity,
     num_rows: u64,
     num_samples: usize,
     seed: u64,
-    precision: Precision,
+    /// Sampler buffers, including the previous walk's per-column
+    /// checkpoints that the next walk resumes from.
     scratch: SamplerScratch,
     /// Reused constraint-compilation buffer (`try_constraints_into`).
     constraints: Vec<naru_query::ColumnConstraint>,
-    /// Partial-walk checkpoints reused across a batch by queries sharing a
-    /// column prefix (self-invalidating on seed/sample-count changes).
-    memo: PrefixMemo,
 }
 
 impl Session {
@@ -246,24 +217,6 @@ impl Session {
     /// Changes the RNG seed used by subsequent estimates.
     pub fn set_seed(&mut self, seed: u64) {
         self.seed = seed;
-    }
-
-    /// The session's precision mode.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Changes the precision mode of subsequent estimates. The batch path's
-    /// prefix memo is keyed on the effective mode, so flipping precision
-    /// never resumes an exact walk from relaxed state or vice versa.
-    pub fn set_precision(&mut self, precision: Precision) {
-        self.precision = precision;
-    }
-
-    /// Builder form of [`Session::set_precision`].
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
     }
 
     /// Row count of the modeled table.
@@ -295,101 +248,28 @@ impl Session {
             query,
             num_samples,
             self.seed,
-            self.precision,
             &mut self.scratch,
             &mut self.constraints,
         )
     }
 
-    /// Estimates a batch of queries, one result per query in order, reusing
-    /// the session scratch across the whole batch.
-    ///
-    /// Beyond scratch reuse, the batch path memoizes partial walks: queries
-    /// are compiled up front and processed in an order that places shared
-    /// column prefixes next to each other, so a query whose first `k`
-    /// compiled constraints match its predecessor resumes the sampler after
-    /// column `k` instead of re-running those forward passes (identical
-    /// queries reduce to a single walk). Every individual result is
-    /// bit-for-bit identical to what [`Session::estimate`] returns for that
-    /// query, and results come back in the caller's order.
-    // lint: allow_fn(index) - parallel vectors are allocated to queries.len() above; enumerate-derived indices stay in bounds
+    /// Estimates a batch of queries, one result per query in order: the
+    /// same answers as calling [`Session::estimate`] on each in turn.
     pub fn estimate_batch(&mut self, queries: &[Query]) -> Vec<Result<Estimate, EstimateError>> {
-        let n = self.density.num_columns();
-        // Same per-query error semantics as the sequential path: a
-        // degenerate domain fails every query identically.
-        if let Some(column) = self.density.domain_sizes().iter().position(|&d| d == 0) {
-            return queries.iter().map(|_| Err(EstimateError::EmptyDomain { column })).collect();
-        }
-        let mut results: Vec<Option<Result<Estimate, EstimateError>>> = vec![None; queries.len()];
-        let mut compiled: Vec<Option<Vec<ColumnConstraint>>> = vec![None; queries.len()];
-        let mut order: Vec<usize> = Vec::with_capacity(queries.len());
-        for (i, query) in queries.iter().enumerate() {
-            match query.try_constraints(n) {
-                Ok(constraints) => {
-                    compiled[i] = Some(constraints);
-                    order.push(i);
-                }
-                Err(err) => results[i] = Some(Err(err)),
-            }
-        }
-        // Lexicographic order over compiled constraint vectors clusters
-        // shared prefixes (the sort is stable, so ties keep caller order
-        // and the whole batch stays deterministic).
-        order.sort_by(|&a, &b| compiled[a].cmp(&compiled[b]));
-        let relaxed = effective_relaxed(&*self.density, self.precision);
-        for &i in &order {
-            // lint: allow(panic) - compile loop above fills compiled[i] for every index before this pass
-            let constraints = compiled[i].as_ref().expect("sorted indices are compiled");
-            let start = Instant::now();
-            let walk = progressive_walk_memo(
-                &*self.density,
-                constraints,
-                self.num_samples,
-                self.seed,
-                &mut self.scratch,
-                &mut self.memo,
-                relaxed,
-            );
-            let live = self.num_samples.max(1) - walk.dead_paths;
-            let mut estimate = Estimate::sampled(walk.selectivity, self.num_rows, live, start.elapsed());
-            if relaxed {
-                estimate = estimate.with_provenance(Provenance::Relaxed);
-            }
-            results[i] = Some(Ok(estimate));
-        }
-        // lint: allow(panic) - the walk loop assigns results[i] for every query index
-        results.into_iter().map(|r| r.expect("every query is answered")).collect()
+        queries.iter().map(|query| self.estimate(query)).collect()
     }
-
-    /// Drops the batch path's memoized partial walks (they are also
-    /// self-invalidating; this just releases their memory).
-    pub fn clear_memo(&mut self) {
-        self.memo.clear();
-    }
-}
-
-/// Whether a walk at `precision` actually runs relaxed: the caller asks for
-/// it (or the process-wide [`naru_tensor::KernelPolicy::Quantized`] policy
-/// does) *and* the density can serve it. Computed per estimate — never
-/// cached — so [`Provenance::Relaxed`] tagging stays honest even when the
-/// global policy flips between calls.
-pub(crate) fn effective_relaxed<D: ConditionalDensity + ?Sized>(density: &D, precision: Precision) -> bool {
-    (precision == Precision::Relaxed || naru_tensor::kernel_policy() == naru_tensor::KernelPolicy::Quantized)
-        && density.supports_relaxed()
 }
 
 /// The shared fallible-estimation routine: validates the query, runs the
 /// progressive walk through the caller's scratch, and packages the rich
 /// [`Estimate`]. Used by [`Session`] and by the `SelectivityEstimator`
 /// wrappers in [`crate::estimator`].
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn estimate_with_scratch<D: ConditionalDensity + ?Sized>(
     density: &D,
     num_rows: u64,
     query: &Query,
     num_samples: usize,
     seed: u64,
-    precision: Precision,
     scratch: &mut SamplerScratch,
     constraints: &mut Vec<naru_query::ColumnConstraint>,
 ) -> Result<Estimate, EstimateError> {
@@ -398,14 +278,9 @@ pub(crate) fn estimate_with_scratch<D: ConditionalDensity + ?Sized>(
         return Err(EstimateError::EmptyDomain { column });
     }
     query.try_constraints_into(density.num_columns(), constraints)?;
-    let relaxed = effective_relaxed(density, precision);
-    let walk = progressive_walk(density, constraints, num_samples, seed, scratch, relaxed);
+    let walk = progressive_walk(density, constraints, num_samples, seed, scratch);
     let live = num_samples.max(1) - walk.dead_paths;
-    let mut estimate = Estimate::sampled(walk.selectivity, num_rows, live, start.elapsed());
-    if relaxed {
-        estimate = estimate.with_provenance(Provenance::Relaxed);
-    }
-    Ok(estimate)
+    Ok(Estimate::sampled(walk.selectivity, num_rows, live, start.elapsed()))
 }
 
 #[cfg(test)]

@@ -237,8 +237,10 @@ impl NaruEstimator {
         &self.model
     }
 
-    /// Mutable access to the model, for fine-tuning on new data.
+    /// Mutable access to the model, for fine-tuning on new data. Forgets
+    /// the memoized walk prefixes, which the changed weights invalidate.
     pub fn model_mut(&mut self) -> &mut MadeModel {
+        self.scratch.get_mut().unwrap_or_else(|e| e.into_inner()).sampler.clear_memo();
         &mut self.model
     }
 
@@ -257,7 +259,6 @@ impl NaruEstimator {
             query,
             num_samples,
             self.seed,
-            crate::Precision::Exact,
             &mut scratch.sampler,
             &mut scratch.constraints,
         )
@@ -296,7 +297,6 @@ impl SelectivityEstimator for NaruEstimator {
                     query,
                     self.num_samples,
                     self.seed,
-                    crate::Precision::Exact,
                     &mut scratch.sampler,
                     &mut scratch.constraints,
                 )
@@ -369,7 +369,6 @@ impl<D: ConditionalDensity> SelectivityEstimator for SamplingEstimator<D> {
             query,
             self.num_samples,
             self.seed,
-            crate::Precision::Exact,
             &mut scratch.sampler,
             &mut scratch.constraints,
         )
@@ -434,6 +433,21 @@ mod tests {
             }
         }
         assert!(naru_worse <= 1, "Naru lost to independence on {naru_worse}/3 correlated queries");
+    }
+
+    #[test]
+    fn fine_tuning_through_model_mut_invalidates_the_walk_memo() {
+        let table = correlated_pair(300, 4, 0.8, 1);
+        let (mut est, _) = NaruEstimator::train(&table, &NaruConfig::small().with_samples(64));
+        let q = Query::new(vec![Predicate::le(0, 1), Predicate::ge(1, 2)]);
+        let before = sel(&est, &q);
+        est.model_mut().train_step(&[vec![3, 0], vec![3, 1]], &naru_nn::optimizer::AdamConfig::default());
+        // A fresh walk over the changed weights, not a resumption of the
+        // memoized walk over the old ones.
+        let sampler = ProgressiveSampler::new(SamplerConfig { num_samples: 64, seed: 0 });
+        let expected = sampler.estimate(est.model(), &q.constraints(2));
+        assert_ne!(expected, before, "the training step must move this estimate");
+        assert_eq!(sel(&est, &q), expected);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod train;
 pub use columnwise::{ColumnwiseConfig, ColumnwiseModel};
 pub use density::{average_nll_bits, entropy_gap_bits, ConditionalDensity, IndependentDensity, InferenceScratch};
 pub use encoding::{ColumnEncoding, EncodingPolicy};
-pub use engine::{Engine, Precision, Session, SharedDensity};
+pub use engine::{Engine, Session, SharedDensity};
 pub use enumeration::{enumerate_exact, EnumerationResult};
 pub use estimator::{NaruConfig, NaruConfigBuilder, NaruEstimator, SamplingEstimator};
 pub use model::{MadeModel, ModelConfig};

@@ -16,7 +16,7 @@ use naru_nn::linear::Linear;
 use naru_nn::loss::cross_entropy_grad_into;
 use naru_nn::made::{build_made_masks, GroupSpec};
 use naru_nn::optimizer::AdamConfig;
-use naru_nn::{Embedding, QuantDecoder, QuantLinear, Relu};
+use naru_nn::{Embedding, Relu};
 use naru_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,18 +66,6 @@ enum OutputKind {
     EmbeddingReuse,
 }
 
-/// The quantized inference mirror of the trunk: per-row i8 copies of every
-/// weight matrix the relaxed-precision walk touches. Input encodings stay
-/// exact f32 (embedding *lookups* are reads, not multiplies); only the
-/// matmuls — hidden stack, output blocks, embedding-reuse decode — run
-/// against the mirrors.
-struct QuantModel {
-    hidden: Vec<QuantLinear>,
-    output: QuantLinear,
-    /// One decoder per column, present exactly for `EmbeddingReuse` outputs.
-    decoders: Vec<Option<QuantDecoder>>,
-}
-
 /// The masked autoregressive density model.
 pub struct MadeModel {
     domain_sizes: Vec<usize>,
@@ -90,10 +78,6 @@ pub struct MadeModel {
     hidden: Vec<Linear>,
     output: Linear,
     relu: Relu,
-    /// Inference-only relaxed-precision mirror; built by
-    /// [`ConditionalDensity::prepare_relaxed`], dropped by every training
-    /// step so it can never go stale against the f32 weights.
-    quant: Option<QuantModel>,
 }
 
 impl MadeModel {
@@ -158,7 +142,6 @@ impl MadeModel {
             hidden,
             output,
             relu: Relu,
-            quant: None,
         }
     }
 
@@ -240,25 +223,6 @@ impl MadeModel {
             }
         }
         scratch.enc_cols = scratch.enc_cols.max(col);
-    }
-
-    /// Relaxed-precision twin of [`MadeModel::forward_hidden_ws`]: the same
-    /// buffer-0/1 ping-pong, but every layer runs its quantized mirror with
-    /// bias + ReLU fused into the output loop (no separate activation
-    /// sweep). Returns the buffer index holding the final hidden activation.
-    fn forward_hidden_ws_quant(&self, quant: &QuantModel, input: &Matrix, ws: &mut naru_nn::Workspace) -> usize {
-        let mut cur = 0usize;
-        for (i, layer) in quant.hidden.iter().enumerate() {
-            if i == 0 {
-                layer.forward_relu_into(input, ws.buf_mut(0));
-            } else {
-                let next = 1 - cur;
-                let (read, write) = ws.pair_mut(cur, next);
-                layer.forward_relu_into(read, write);
-                cur = next;
-            }
-        }
-        cur
     }
 
     /// Runs the hidden stack over `input` using workspace buffers 0 and 1
@@ -344,10 +308,6 @@ impl MadeModel {
     ) -> f64 {
         // lint: allow(panic) - documented train_step contract: an empty batch has no gradient
         assert!(!tuples.is_empty(), "empty batch");
-        // The quantized mirror captures the weights at prepare_relaxed time;
-        // any further training invalidates it, so drop it rather than serve
-        // stale relaxed answers.
-        self.quant = None;
         let rows = tuples.len();
         let n = self.num_columns();
         let depth = self.hidden.len();
@@ -512,30 +472,6 @@ impl ConditionalDensity for MadeModel {
         &self.domain_sizes
     }
 
-    /// Builds the quantized inference mirror: per-row i8 copies of the
-    /// hidden stack, the output layer, and every embedding-reuse decode
-    /// table. Input-side embedding *lookups* stay exact f32. Quantization
-    /// preserves exact zeros, so the MADE masks survive the mirror and the
-    /// relaxed walk keeps the autoregressive property bit-exactly.
-    fn prepare_relaxed(&mut self) {
-        let hidden = self.hidden.iter().map(QuantLinear::from_linear).collect();
-        let output = QuantLinear::from_linear(&self.output);
-        let decoders = self
-            .output_kinds
-            .iter()
-            .zip(self.embeddings.iter())
-            .map(|(kind, emb)| match (kind, emb) {
-                (OutputKind::EmbeddingReuse, Some(emb)) => Some(QuantDecoder::from_embedding(emb)),
-                _ => None,
-            })
-            .collect();
-        self.quant = Some(QuantModel { hidden, output, decoders });
-    }
-
-    fn supports_relaxed(&self) -> bool {
-        self.quant.is_some()
-    }
-
     fn conditionals(&self, tuples: &[Vec<u32>], col: usize) -> Matrix {
         let input = self.encode_input(tuples);
         let trunk_out = self.forward_trunk(&input);
@@ -560,29 +496,6 @@ impl ConditionalDensity for MadeModel {
         assert_eq!(num_cols, self.num_columns(), "tuple width mismatch");
         let rows = tuples.len().checked_div(num_cols).unwrap_or(0);
         self.encode_prefix_into(tuples, rows, col, scratch);
-        if scratch.relaxed {
-            if let Some(quant) = &self.quant {
-                let h = self.forward_hidden_ws_quant(quant, &scratch.enc, &mut scratch.nn);
-                let lo = self.output_offsets[col];
-                let hi = self.output_offsets[col + 1];
-                match self.output_kinds[col] {
-                    OutputKind::Direct => {
-                        quant.output.forward_block_into(scratch.nn.buf(h), lo..hi, out);
-                    }
-                    OutputKind::EmbeddingReuse => {
-                        // lint: allow(panic) - decoders[col] is Some for every EmbeddingReuse output by construction in prepare_relaxed()
-                        let decoder = quant.decoders[col].as_ref().expect("quant decoder present");
-                        {
-                            let (hidden, block) = scratch.nn.pair_mut(h, 2);
-                            quant.output.forward_block_into(hidden, lo..hi, block);
-                        }
-                        decoder.decode_logits_into(scratch.nn.buf(2), out);
-                    }
-                }
-                naru_tensor::softmax_rows_inplace(out);
-                return;
-            }
-        }
         let h = self.forward_hidden_ws(&scratch.enc, &mut scratch.nn);
         let lo = self.output_offsets[col];
         let hi = self.output_offsets[col + 1];
@@ -739,56 +652,6 @@ mod tests {
 
     fn tuples_from3(table: &[[u32; 3]]) -> Vec<Vec<u32>> {
         table.iter().map(|row| row.to_vec()).collect()
-    }
-
-    #[test]
-    fn relaxed_conditionals_track_exact_within_tolerance() {
-        // Mixed Direct + EmbeddingReuse outputs; the quantized mirror's
-        // conditionals must stay close to the exact walk's and remain
-        // proper distributions.
-        let mut model = MadeModel::new(&[3, 70, 4], &ModelConfig::tiny());
-        assert!(!model.supports_relaxed());
-        model.prepare_relaxed();
-        assert!(model.supports_relaxed());
-        let tuples = tuples_from3(&[[1, 30, 2], [2, 69, 0]]);
-        let flat: Vec<u32> = tuples.iter().flatten().copied().collect();
-        let mut exact_scratch = InferenceScratch::new();
-        let mut relaxed_scratch = InferenceScratch::new();
-        relaxed_scratch.relaxed = true;
-        let mut exact = Matrix::zeros(0, 0);
-        let mut relaxed = Matrix::zeros(0, 0);
-        for col in 0..3 {
-            model.conditionals_into(&flat, 3, col, &mut exact, &mut exact_scratch);
-            model.conditionals_into(&flat, 3, col, &mut relaxed, &mut relaxed_scratch);
-            assert_eq!(relaxed.shape(), exact.shape());
-            for i in 0..exact.len() {
-                let delta = (exact.data()[i] - relaxed.data()[i]).abs();
-                assert!(delta < 0.05, "col {col} elem {i}: delta {delta}");
-            }
-            for r in 0..relaxed.rows() {
-                let s: f32 = relaxed.row(r).iter().sum();
-                assert!((s - 1.0).abs() < 1e-4, "relaxed row {r} of col {col} sums to {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn training_drops_the_quant_mirror() {
-        let mut model = MadeModel::new(&[4, 4, 3], &ModelConfig::tiny());
-        model.prepare_relaxed();
-        assert!(model.supports_relaxed());
-        model.train_step(&[vec![0, 0, 0], vec![1, 1, 1]], &AdamConfig::default());
-        assert!(!model.supports_relaxed(), "a trained-on model must not serve a stale mirror");
-        // Without a mirror, a relaxed-flagged walk runs the exact path
-        // bit-for-bit.
-        let mut exact_scratch = InferenceScratch::new();
-        let mut relaxed_scratch = InferenceScratch::new();
-        relaxed_scratch.relaxed = true;
-        let mut exact = Matrix::zeros(0, 0);
-        let mut relaxed = Matrix::zeros(0, 0);
-        model.conditionals_into(&[1, 2, 0], 3, 1, &mut exact, &mut exact_scratch);
-        model.conditionals_into(&[1, 2, 0], 3, 1, &mut relaxed, &mut relaxed_scratch);
-        assert_eq!(exact.data(), relaxed.data());
     }
 
     #[test]

@@ -77,6 +77,84 @@ pub(crate) struct SamplerScratch {
     allowed: Vec<u32>,
     /// Surviving path indices of the current column (compaction map).
     keep: Vec<u32>,
+    /// Per-column checkpoints of the previous walk, from which the next
+    /// walk resumes after the column prefix the two share.
+    memo: PrefixMemo,
+}
+
+impl SamplerScratch {
+    /// Forgets the previous walk, so the next one starts from column 0.
+    /// Needed only when the walked density changes in place.
+    pub(crate) fn clear_memo(&mut self) {
+        self.memo.clear();
+    }
+}
+
+/// A checkpoint of the walk's full per-path state after one column:
+/// enough to resume the walk at the next column bit-for-bit.
+#[derive(Debug)]
+struct PrefixSnapshot {
+    /// The live paths' tuples, exactly `live * n` ids.
+    tuples: Vec<u32>,
+    /// The live paths' accumulated weights, one per live path.
+    weights: Vec<f64>,
+    /// The RNG state after sampling this column (cloneable by design).
+    rng: StdRng,
+}
+
+/// Memoized per-column state of the most recent walk, so a following walk
+/// whose compiled constraints share a column prefix can resume after the
+/// shared columns instead of re-running their forward passes.
+///
+/// Because the sampler walks columns in order and its state after column
+/// `i` depends only on the density, the seed, the path count, and the
+/// constraints of columns `0..=i`, restoring a snapshot reproduces the
+/// fresh walk bit-for-bit: the restored RNG continues the identical stream
+/// and the density re-encodes the restored tuples to identical inputs. The
+/// memo is invalidated whenever the density, seed or path count changes.
+#[derive(Debug, Default)]
+struct PrefixMemo {
+    valid: bool,
+    /// Address of the memoized walk's density.
+    density: usize,
+    num_samples: usize,
+    seed: u64,
+    /// Compiled constraints of the memoized walk (one per column).
+    constraints: Vec<ColumnConstraint>,
+    /// `snaps[i]` is the state after walking column `i`, for `i < len`;
+    /// entries from `len` on are spare buffers kept for reuse.
+    snaps: Vec<PrefixSnapshot>,
+    len: usize,
+    /// Column at which the memoized walk lost every path, if it did; that
+    /// column has no snapshot.
+    dead_col: Option<usize>,
+}
+
+impl PrefixMemo {
+    fn clear(&mut self) {
+        self.valid = false;
+        self.len = 0;
+        self.constraints.clear();
+        self.dead_col = None;
+    }
+
+    /// Records the state after the next column, reusing a spare
+    /// snapshot's buffers when one exists.
+    fn record(&mut self, tuples: &[u32], weights: &[f64], rng: &StdRng) {
+        match self.snaps.get_mut(self.len) {
+            Some(snap) => {
+                snap.tuples.clear();
+                snap.tuples.extend_from_slice(tuples);
+                snap.weights.clear();
+                snap.weights.extend_from_slice(weights);
+                snap.rng = rng.clone();
+            }
+            None => {
+                self.snaps.push(PrefixSnapshot { tuples: tuples.to_vec(), weights: weights.to_vec(), rng: rng.clone() })
+            }
+        }
+        self.len += 1;
+    }
 }
 
 /// Progressive sampler over any [`ConditionalDensity`].
@@ -87,6 +165,12 @@ pub(crate) struct SamplerScratch {
 /// The lock is uncontended in single-threaded use; concurrent serving
 /// should give each worker its own sampler rather than share one, or
 /// estimates will serialize on the scratch.
+///
+/// Each estimate resumes from the previous one's shared column prefix
+/// when both walk the same density object, so repeated and near-duplicate
+/// queries skip forward passes. The density is recognized by its address:
+/// a density changed in place between two estimates (trained further,
+/// say) needs a fresh sampler.
 pub struct ProgressiveSampler {
     config: SamplerConfig,
     scratch: Mutex<SamplerScratch>,
@@ -114,24 +198,29 @@ impl ProgressiveSampler {
     /// [`ConditionalDensity::conditionals_into`], and *compacts* dead paths
     /// out of the batch after every column — later forward passes shrink
     /// with the live-path count, and the estimate returns early when every
-    /// path dies. Estimates remain deterministic given the seed.
+    /// path dies. Estimates remain deterministic given the seed, and are
+    /// bit-identical whether or not they resume a previous walk.
     pub fn estimate_detailed<D: ConditionalDensity + ?Sized>(
         &self,
         density: &D,
         constraints: &[ColumnConstraint],
     ) -> SampleEstimate {
         let scratch = &mut *self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        // The standalone sampler always walks in exact precision; relaxed
-        // mode is selected at the Session layer, which also owns the
-        // Provenance tagging that keeps relaxed answers distinguishable.
-        progressive_walk(density, constraints, self.config.num_samples, self.config.seed, scratch, false)
+        progressive_walk(density, constraints, self.config.num_samples, self.config.seed, scratch)
     }
 }
 
 /// The progressive-sampling walk itself, operating on caller-provided
-/// scratch — the shared engine behind both [`ProgressiveSampler`] (which
-/// guards one scratch with a `Mutex` to stay `&self`/`Sync`) and the
-/// lock-free per-thread `Session` of the Engine/Session API.
+/// scratch — the one walk behind [`ProgressiveSampler`] (which guards one
+/// scratch with a `Mutex` to stay `&self`/`Sync`), the lock-free per-thread
+/// `Session` of the Engine/Session API, and the `SelectivityEstimator`
+/// wrappers.
+///
+/// Every walk checkpoints its per-path state after each column in the
+/// scratch's [`PrefixMemo`]. The next walk over the same density, seed and
+/// path count whose leading compiled constraints match resumes after the
+/// shared columns instead of re-running their forward passes, with a
+/// bit-identical result.
 // lint: allow_fn(index) - walk state is sized to num_columns and the domain widths at entry; column and sample indices stay in bounds by construction
 pub(crate) fn progressive_walk<D: ConditionalDensity + ?Sized>(
     density: &D,
@@ -139,16 +228,15 @@ pub(crate) fn progressive_walk<D: ConditionalDensity + ?Sized>(
     num_samples: usize,
     seed: u64,
     scratch: &mut SamplerScratch,
-    relaxed: bool,
 ) -> SampleEstimate {
     let n = density.num_columns();
     // lint: allow(panic) - documented walk contract: one constraint per column, checked at compile time by callers
     assert_eq!(constraints.len(), n, "one constraint per column required");
     let domains = density.domain_sizes();
     let s = num_samples.max(1);
-    let mut rng = StdRng::seed_from_u64(seed);
 
-    // Early exits: a contradictory constraint has zero probability.
+    // Early exits: a contradictory constraint has zero probability. Neither
+    // exit consumes RNG state or scratch, so the memo stays valid.
     if constraints.iter().enumerate().any(|(i, c)| c.count(domains[i]) == 0) {
         return SampleEstimate { selectivity: 0.0, dead_paths: s, columns_walked: 0 };
     }
@@ -159,15 +247,67 @@ pub(crate) fn progressive_walk<D: ConditionalDensity + ?Sized>(
         return SampleEstimate { selectivity: 1.0, dead_paths: 0, columns_walked: 0 };
     };
 
-    scratch.infer.reset();
-    scratch.infer.relaxed = relaxed;
-    scratch.tuples.clear();
-    scratch.tuples.resize(s * n, 0);
-    scratch.weights.clear();
-    scratch.weights.resize(s, 1.0);
-    let mut live = s;
+    // Longest usable shared prefix: leading columns whose constraints match
+    // the memoized walk, capped by the snapshots we actually have and by
+    // the columns this query walks at all.
+    let density_id = (density as *const D).cast::<()>() as usize;
+    let memo = &mut scratch.memo;
+    let mut shared = 0usize;
+    if memo.valid
+        && memo.density == density_id
+        && memo.num_samples == num_samples
+        && memo.seed == seed
+        && memo.constraints.len() == n
+    {
+        while shared < memo.len && shared <= last_filtered && memo.constraints[shared] == constraints[shared] {
+            shared += 1;
+        }
+        // The memoized walk died at the column right after our shared
+        // prefix, under the same constraint: this walk dies there too.
+        if memo.dead_col == Some(shared)
+            && shared == memo.len
+            && shared <= last_filtered
+            && memo.constraints[shared] == constraints[shared]
+        {
+            return SampleEstimate { selectivity: 0.0, dead_paths: s, columns_walked: shared + 1 };
+        }
+    }
 
-    for col in 0..=last_filtered {
+    let mut rng;
+    let mut live;
+    scratch.infer.reset();
+    if shared > 0 {
+        // Resume: restore the checkpoint taken right after the last shared
+        // column. The density's scratch was reset, so its first
+        // conditionals call re-encodes the restored prefix wholesale.
+        let snap = &memo.snaps[shared - 1];
+        scratch.tuples.clear();
+        scratch.tuples.extend_from_slice(&snap.tuples);
+        scratch.weights.clear();
+        scratch.weights.extend_from_slice(&snap.weights);
+        live = snap.weights.len();
+        rng = snap.rng.clone();
+    } else {
+        scratch.tuples.clear();
+        scratch.tuples.resize(s * n, 0);
+        scratch.weights.clear();
+        scratch.weights.resize(s, 1.0);
+        live = s;
+        rng = StdRng::seed_from_u64(seed);
+    }
+
+    // Re-key the memo to this walk: shared snapshots stay, the rest are
+    // overwritten as we walk.
+    memo.valid = true;
+    memo.density = density_id;
+    memo.num_samples = num_samples;
+    memo.seed = seed;
+    memo.constraints.truncate(shared);
+    memo.constraints.extend_from_slice(&constraints[shared..]);
+    memo.len = shared;
+    memo.dead_col = None;
+
+    for col in shared..=last_filtered {
         let constraint = &constraints[col];
         let domain = domains[col];
         let is_any = matches!(constraint, ColumnConstraint::Any);
@@ -210,211 +350,7 @@ pub(crate) fn progressive_walk<D: ConditionalDensity + ?Sized>(
                     sample_allowed(&mut rng, row, &scratch.allowed, mass)
                 }
             };
-            match sampled {
-                Some(id) => {
-                    scratch.tuples[path * n + col] = id;
-                    if write != path {
-                        scratch.tuples.copy_within(path * n..(path + 1) * n, write * n);
-                        scratch.weights[write] = scratch.weights[path];
-                    }
-                    scratch.keep.push(path as u32);
-                    write += 1;
-                }
-                None => {
-                    // Dead path: dropped from the batch by compaction.
-                }
-            }
-        }
-
-        if write < live {
-            live = write;
-            if live == 0 {
-                return SampleEstimate { selectivity: 0.0, dead_paths: s, columns_walked: col + 1 };
-            }
-            scratch.infer.compact_rows(&scratch.keep);
-        }
-    }
-
-    let selectivity = (scratch.weights[..live].iter().sum::<f64>() / s as f64).clamp(0.0, 1.0);
-    SampleEstimate { selectivity, dead_paths: s - live, columns_walked: last_filtered + 1 }
-}
-
-/// A checkpoint of the walk's full per-path state after one column:
-/// enough to resume the walk at the next column bit-for-bit.
-#[derive(Debug)]
-struct PrefixSnapshot {
-    /// The live paths' tuples, exactly `live * n` ids.
-    tuples: Vec<u32>,
-    /// The live paths' accumulated weights, exactly `live` entries.
-    weights: Vec<f64>,
-    /// Number of live paths at this point of the walk.
-    live: usize,
-    /// The RNG state after sampling this column (cloneable by design).
-    rng: StdRng,
-}
-
-/// Memoized per-column state of the most recent walk, so a following walk
-/// whose compiled constraints share a column prefix can resume after the
-/// shared columns instead of re-running their forward passes.
-///
-/// Because the sampler walks columns in order and its state after column
-/// `i` depends only on the seed, the path count, and the constraints of
-/// columns `0..=i`, restoring a snapshot reproduces the fresh walk
-/// bit-for-bit: the restored RNG continues the identical stream and the
-/// density re-encodes the restored tuples to identical inputs. The memo is
-/// invalidated whenever the seed or path count changes.
-#[derive(Debug, Default)]
-pub(crate) struct PrefixMemo {
-    valid: bool,
-    num_samples: usize,
-    seed: u64,
-    /// Precision mode of the memoized walk: exact and relaxed walks produce
-    /// different per-column states, so snapshots never cross the modes.
-    relaxed: bool,
-    /// Compiled constraints of the memoized walk (one per column).
-    constraints: Vec<ColumnConstraint>,
-    /// `snaps[i]` is the state after walking column `i`; on a fully-dead
-    /// walk the dying column has no snapshot.
-    snaps: Vec<PrefixSnapshot>,
-    /// Column at which the memoized walk lost every path, if it did.
-    dead_col: Option<usize>,
-}
-
-impl PrefixMemo {
-    /// Drops all memoized state.
-    pub(crate) fn clear(&mut self) {
-        self.valid = false;
-        self.snaps.clear();
-        self.constraints.clear();
-        self.dead_col = None;
-    }
-}
-
-/// [`progressive_walk`] with prefix memoization: identical results for any
-/// single call, but consecutive calls whose constraint vectors share a
-/// leading column prefix (same seed, same path count) skip the shared
-/// columns' forward passes by resuming from the memoized state. The batch
-/// path sorts its queries so shared prefixes are adjacent, which turns
-/// repeated and near-duplicate queries into O(changed columns) work.
-// lint: allow_fn(index) - walk state is sized to num_columns and the domain widths at entry; column and sample indices stay in bounds by construction
-pub(crate) fn progressive_walk_memo<D: ConditionalDensity + ?Sized>(
-    density: &D,
-    constraints: &[ColumnConstraint],
-    num_samples: usize,
-    seed: u64,
-    scratch: &mut SamplerScratch,
-    memo: &mut PrefixMemo,
-    relaxed: bool,
-) -> SampleEstimate {
-    let n = density.num_columns();
-    // lint: allow(panic) - documented walk contract: one constraint per column, checked at compile time by callers
-    assert_eq!(constraints.len(), n, "one constraint per column required");
-    let domains = density.domain_sizes();
-    let s = num_samples.max(1);
-
-    // Early exits, identical to the fresh walk. Neither consumes RNG state
-    // or scratch, so the memo stays untouched and valid for the next query.
-    if constraints.iter().enumerate().any(|(i, c)| c.count(domains[i]) == 0) {
-        return SampleEstimate { selectivity: 0.0, dead_paths: s, columns_walked: 0 };
-    }
-    let last_filtered = constraints.iter().rposition(|c| !matches!(c, ColumnConstraint::Any));
-    let Some(last_filtered) = last_filtered else {
-        return SampleEstimate { selectivity: 1.0, dead_paths: 0, columns_walked: 0 };
-    };
-
-    // Longest usable shared prefix: leading columns whose constraints match
-    // the memoized walk, capped by the snapshots we actually have and by
-    // the columns this query walks at all.
-    let mut shared = 0usize;
-    if memo.valid
-        && memo.num_samples == num_samples
-        && memo.seed == seed
-        && memo.relaxed == relaxed
-        && memo.constraints.len() == n
-    {
-        while shared < memo.snaps.len() && shared <= last_filtered && memo.constraints[shared] == constraints[shared] {
-            shared += 1;
-        }
-        // The memoized walk died at the column right after our shared
-        // prefix, under the same constraint: this walk dies there too.
-        if memo.dead_col == Some(shared)
-            && shared == memo.snaps.len()
-            && shared <= last_filtered
-            && memo.constraints[shared] == constraints[shared]
-        {
-            return SampleEstimate { selectivity: 0.0, dead_paths: s, columns_walked: shared + 1 };
-        }
-    }
-
-    let mut rng;
-    let mut live;
-    scratch.infer.reset();
-    scratch.infer.relaxed = relaxed;
-    if shared > 0 {
-        // Resume: restore the checkpoint taken right after the last shared
-        // column. The density's scratch was reset, so its first
-        // conditionals call re-encodes the restored prefix wholesale.
-        let snap = &memo.snaps[shared - 1];
-        scratch.tuples.clear();
-        scratch.tuples.extend_from_slice(&snap.tuples);
-        scratch.weights.clear();
-        scratch.weights.extend_from_slice(&snap.weights);
-        live = snap.live;
-        rng = snap.rng.clone();
-    } else {
-        scratch.tuples.clear();
-        scratch.tuples.resize(s * n, 0);
-        scratch.weights.clear();
-        scratch.weights.resize(s, 1.0);
-        live = s;
-        rng = StdRng::seed_from_u64(seed);
-    }
-
-    // Re-key the memo to this walk: shared snapshots stay, the rest are
-    // replaced as we walk.
-    memo.valid = true;
-    memo.num_samples = num_samples;
-    memo.seed = seed;
-    memo.relaxed = relaxed;
-    memo.constraints.clear();
-    memo.constraints.extend_from_slice(constraints);
-    memo.snaps.truncate(shared);
-    memo.dead_col = None;
-
-    for col in shared..=last_filtered {
-        let constraint = &constraints[col];
-        let domain = domains[col];
-        let is_any = matches!(constraint, ColumnConstraint::Any);
-        scratch.allowed.clear();
-        if !is_any {
-            for id in 0..domain as u32 {
-                if constraint.matches(id) {
-                    scratch.allowed.push(id);
-                }
-            }
-        }
-
-        density.conditionals_into(&scratch.tuples[..live * n], n, col, &mut scratch.probs, &mut scratch.infer);
-        debug_assert_eq!(scratch.probs.shape(), (live, domain));
-
-        scratch.keep.clear();
-        let mut write = 0usize;
-        for path in 0..live {
-            let row = scratch.probs.row(path);
-            let sampled = if is_any {
-                sample_categorical(&mut rng, row).map(|id| id as u32)
-            } else {
-                let mut mass = 0.0f64;
-                for &id in &scratch.allowed {
-                    mass += row[id as usize].max(0.0) as f64;
-                }
-                if !mass.is_finite() || mass <= 0.0 {
-                    None
-                } else {
-                    scratch.weights[path] *= mass;
-                    sample_allowed(&mut rng, row, &scratch.allowed, mass)
-                }
-            };
+            // A dead path (`None`) is dropped from the batch by compaction.
             if let Some(id) = sampled {
                 scratch.tuples[path * n + col] = id;
                 if write != path {
@@ -429,18 +365,12 @@ pub(crate) fn progressive_walk_memo<D: ConditionalDensity + ?Sized>(
         if write < live {
             live = write;
             if live == 0 {
-                memo.dead_col = Some(col);
+                scratch.memo.dead_col = Some(col);
                 return SampleEstimate { selectivity: 0.0, dead_paths: s, columns_walked: col + 1 };
             }
             scratch.infer.compact_rows(&scratch.keep);
         }
-
-        memo.snaps.push(PrefixSnapshot {
-            tuples: scratch.tuples[..live * n].to_vec(),
-            weights: scratch.weights[..live].to_vec(),
-            live,
-            rng: rng.clone(),
-        });
+        scratch.memo.record(&scratch.tuples[..live * n], &scratch.weights[..live], &rng);
     }
 
     let selectivity = (scratch.weights[..live].iter().sum::<f64>() / s as f64).clamp(0.0, 1.0);
@@ -727,6 +657,22 @@ mod tests {
         assert_eq!(sampler.estimate(&oracle, &q1.constraints(2)), first_q1);
         assert_eq!(sampler.estimate(&oracle, &q2.constraints(2)), first_q2);
         assert_eq!(sampler.estimate(&oracle, &q1.constraints(2)), first_q1);
+    }
+
+    #[test]
+    fn one_sampler_over_two_densities_never_mixes_their_memos() {
+        let a = OracleDensity::new(&correlated_pair(800, 6, 0.9, 13));
+        let b = OracleDensity::new(&correlated_pair(800, 6, 0.2, 14));
+        let config = SamplerConfig { num_samples: 150, seed: 3 };
+        let c = Query::new(vec![Predicate::le(0, 2), Predicate::le(1, 2)]).constraints(2);
+        let fresh = |d: &OracleDensity| ProgressiveSampler::new(config.clone()).estimate(d, &c);
+        assert_ne!(fresh(&a), fresh(&b));
+        // The same constraints over another density must walk afresh, not
+        // resume the other density's memoized prefix.
+        let shared = ProgressiveSampler::new(config.clone());
+        for d in [&a, &b, &a] {
+            assert_eq!(shared.estimate(d, &c), fresh(d));
+        }
     }
 
     #[test]

@@ -117,24 +117,6 @@ impl TieredSession {
         &mut self.session
     }
 
-    /// The wrapped session's precision mode. Tier-0/tier-1 fast-path
-    /// answers are closed-form and unaffected by precision; only tier-2
-    /// model walks relax.
-    pub fn precision(&self) -> crate::Precision {
-        self.session.precision()
-    }
-
-    /// Changes the precision mode of subsequent tier-2 model walks.
-    pub fn set_precision(&mut self, precision: crate::Precision) {
-        self.session.set_precision(precision);
-    }
-
-    /// Builder form of [`TieredSession::set_precision`].
-    pub fn with_precision(mut self, precision: crate::Precision) -> Self {
-        self.session.set_precision(precision);
-        self
-    }
-
     /// The routing configuration.
     pub fn tier_config(&self) -> &TierConfig {
         &self.config
@@ -227,29 +209,10 @@ impl TieredSession {
         }
     }
 
-    /// Estimates a batch, one result per query in order. Fast-path-eligible
-    /// queries are answered inline; the residual is forwarded to the model
-    /// session's prefix-memoizing batch path in one call.
-    // lint: allow_fn(index) - partition index lists are built from enumerate over the same queries slice
+    /// Estimates a batch, one result per query in order: the same answers
+    /// as calling [`TieredSession::estimate`] on each in turn.
     pub fn estimate_batch(&mut self, queries: &[Query]) -> Vec<Result<Estimate, EstimateError>> {
-        let mut results: Vec<Option<Result<Estimate, EstimateError>>> = vec![None; queries.len()];
-        let mut residual_indices = Vec::new();
-        let mut residual = Vec::new();
-        for (i, query) in queries.iter().enumerate() {
-            match self.fast_path(query) {
-                Ok(Some(estimate)) => results[i] = Some(Ok(estimate)),
-                Ok(None) => {
-                    residual_indices.push(i);
-                    residual.push(query.clone());
-                }
-                Err(err) => results[i] = Some(Err(err)),
-            }
-        }
-        for (i, result) in residual_indices.into_iter().zip(self.session.estimate_batch(&residual)) {
-            results[i] = Some(result);
-        }
-        // lint: allow(panic) - exact/sketch/residual partitions cover every index exactly once
-        results.into_iter().map(|r| r.expect("every query is answered")).collect()
+        queries.iter().map(|query| self.estimate(query)).collect()
     }
 }
 

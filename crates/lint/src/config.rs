@@ -34,17 +34,8 @@ pub struct Config {
 impl Default for Config {
     /// The repo's real invariants, matching the workspace layout.
     fn default() -> Self {
-        // The quantized kernel modules join the serving-path crates: they
-        // sit on the relaxed inference hot path, so they carry the same
-        // panic-freedom and checked-indexing obligations (waivers must be
-        // argued inline like everywhere else).
-        let panic_free = vec![
-            "crates/serve/src/".to_owned(),
-            "crates/core/src/".to_owned(),
-            "crates/net/src/".to_owned(),
-            "crates/tensor/src/quant.rs".to_owned(),
-            "crates/nn/src/quant.rs".to_owned(),
-        ];
+        let panic_free =
+            vec!["crates/serve/src/".to_owned(), "crates/core/src/".to_owned(), "crates/net/src/".to_owned()];
         Config {
             panic_scope: panic_free.clone(),
             index_scope: panic_free,

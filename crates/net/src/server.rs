@@ -219,10 +219,12 @@ const EMPTY_SNAPSHOT: MetricsSnapshot = MetricsSnapshot {
     shed: 0,
     cancelled: 0,
     batches: 0,
+    // Always 0 in every snapshot; kept for struct compatibility.
     fused_batches: 0,
     tier0_served: 0,
     tier1_served: 0,
     tier2_served: 0,
+    // Always 0 in every snapshot; kept for struct compatibility.
     relaxed_served: 0,
     degraded_served: 0,
     worker_respawns: 0,

@@ -31,7 +31,6 @@ pub mod loss;
 pub mod made;
 pub mod mlp;
 pub mod optimizer;
-pub mod quant;
 pub mod workspace;
 
 pub use activation::Relu;
@@ -40,7 +39,6 @@ pub use linear::Linear;
 pub use made::{build_made_masks, GroupSpec};
 pub use mlp::Mlp;
 pub use optimizer::{Adam, AdamConfig};
-pub use quant::{QuantDecoder, QuantLinear};
 pub use workspace::Workspace;
 
 /// Number of bytes used by `n` `f32` parameters; used for the storage-budget

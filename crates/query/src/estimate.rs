@@ -34,13 +34,6 @@ pub enum Provenance {
     /// the normal routing would not have used. The estimate is best-effort —
     /// callers that need full quality should retry with more budget.
     Degraded,
-    /// Answered by the full estimator running in *relaxed precision*: the
-    /// model walk used quantized (i8-weight, f32-accumulate) forward passes
-    /// instead of the exact f32 kernels. Faster, with a bounded accuracy
-    /// delta that the relaxed-parity test tier asserts against the exact
-    /// walk; callers that need bit-exact answers should request
-    /// `Precision::Exact`.
-    Relaxed,
 }
 
 impl Provenance {
@@ -52,7 +45,6 @@ impl Provenance {
             Provenance::Tier2Model => "tier2_model",
             Provenance::CacheHit => "cache_hit",
             Provenance::Degraded => "degraded",
-            Provenance::Relaxed => "relaxed",
         }
     }
 
@@ -65,7 +57,6 @@ impl Provenance {
             "tier2_model" => Some(Provenance::Tier2Model),
             "cache_hit" => Some(Provenance::CacheHit),
             "degraded" => Some(Provenance::Degraded),
-            "relaxed" => Some(Provenance::Relaxed),
             _ => None,
         }
     }
@@ -200,8 +191,6 @@ mod tests {
         assert_eq!(Provenance::Tier0Exact.label(), "tier0_exact");
         assert_eq!(Provenance::Tier1Sketch.label(), "tier1_sketch");
         assert_eq!(Provenance::Degraded.label(), "degraded");
-        assert_eq!(Provenance::Relaxed.label(), "relaxed");
-        assert_eq!(Provenance::from_label("relaxed"), Some(Provenance::Relaxed));
     }
 
     #[test]

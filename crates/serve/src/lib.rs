@@ -32,13 +32,12 @@
 //!   control). [`MetricsSnapshot::cache_hits`] / `cache_misses` /
 //!   `cache_evictions` track the cache; determinism makes hits
 //!   bit-identical to recomputation;
-//! * **micro-batching** — a worker opportunistically drains up to
-//!   [`ServeConfig::max_batch`] queued requests and answers them through a
-//!   single batched estimate call, amortizing per-wakeup overhead under
-//!   load without adding latency when the queue is shallow. Within a
-//!   micro-batch, model-tier queries sharing a column prefix reuse the
-//!   sampler's partial per-column state (prefix memoization), so
-//!   repetitive batches cost far less than their query count suggests;
+//! * **micro-batching** — a worker drains up to
+//!   [`ServeConfig::max_batch`] queued requests per wakeup (one by
+//!   default), walks them one at a time and answers each as soon as its
+//!   own walk ends. A model-tier walk resumes from the column prefix it
+//!   shares with the worker's previous walk (prefix memoization), so
+//!   repetitive traffic costs far less than its query count suggests;
 //! * **rich responses** — every answered request carries the full
 //!   [`Estimate`](naru_query::Estimate) plus [`ServeStats`] (queue wait,
 //!   execution time, worker id, batch size), and failures are typed

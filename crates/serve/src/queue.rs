@@ -3,8 +3,8 @@
 //!
 //! The serving layer's scheduling core: submitters push from any thread
 //! (either rejecting when full — admission control — or blocking until
-//! space frees up), workers pop *batches* so one dequeue can feed an entire
-//! `estimate_batch` call, and closing the queue wakes everyone while still
+//! space frees up), workers pop *batches* so one dequeue hands a worker
+//! several requests at once, and closing the queue wakes everyone while still
 //! letting workers drain the accepted backlog — the property behind the
 //! server's graceful, no-request-lost shutdown.
 //!

@@ -58,19 +58,13 @@ pub struct ServeConfig {
     /// Bounded queue capacity; `try_submit` rejects beyond it. Must be at
     /// least 1.
     pub queue_capacity: usize,
-    /// Most requests a worker drains into one `estimate_batch` call
-    /// (opportunistic micro-batching). Must be at least 1; 1 disables
-    /// batching.
+    /// Most requests a worker drains from the queue at once (opportunistic
+    /// micro-batching). The worker then walks them one at a time, in
+    /// dequeue order, and answers each as soon as its own walk ends. Must
+    /// be at least 1. The default, 1, disables batching: requests a worker
+    /// holds wait behind its walks even when another worker falls idle,
+    /// which lengthens the latency tail.
     pub max_batch: usize,
-    /// Whether a drained micro-batch of full-quality, deadline-less
-    /// requests is answered through one cross-request fused
-    /// `estimate_batch` walk (constraints compiled and sorted across the
-    /// whole batch so shared column-prefix forward passes execute once per
-    /// batch). On by default; turning it off forces every request through
-    /// the individual path — same answers, bit for bit, since the fused
-    /// walk re-seeds per query. Exists so the fused win is measurable
-    /// in-run (`bench_serve` reports both) and as an escape hatch.
-    pub fused_batching: bool,
     /// Total entries in the predicate-keyed estimate cache consulted before
     /// enqueueing. `0` (the default) disables the cache entirely: every
     /// request goes through admission control and a worker.
@@ -99,8 +93,7 @@ impl Default for ServeConfig {
         Self {
             num_workers: workers,
             queue_capacity: 256,
-            max_batch: 16,
-            fused_batching: true,
+            max_batch: 1,
             cache_capacity: 0,
             cache_shards: 8,
             batch_queue_share: 1.0,
@@ -127,12 +120,6 @@ impl ServeConfig {
     /// Sets the micro-batch limit.
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch;
-        self
-    }
-
-    /// Enables or disables the cross-request fused batch walk.
-    pub fn with_fused_batching(mut self, fused_batching: bool) -> Self {
-        self.fused_batching = fused_batching;
         self
     }
 
@@ -374,7 +361,6 @@ struct WorkerShared {
     metrics: Metrics,
     cache: Option<EstimateCache>,
     max_batch: usize,
-    fused_batching: bool,
     degrade: Option<DegradePolicy>,
     faults: FaultInjection,
 }
@@ -391,8 +377,9 @@ struct WorkerExit {
 /// flow through a bounded priority queue into per-worker
 /// [`Session`](naru_core::Session)s, so every full-quality estimate is
 /// bit-for-bit identical to a direct sequential `Session` call (sessions
-/// re-seed per query), regardless of which worker runs it or how requests
-/// were batched.
+/// re-seed per query, and a walk resumed from the session's previous walk
+/// matches a fresh one), regardless of which worker runs it or how
+/// requests were batched.
 pub struct Server {
     shared: Arc<WorkerShared>,
     num_columns: usize,
@@ -418,7 +405,6 @@ impl Server {
             metrics: Metrics::default(),
             cache,
             max_batch: config.max_batch,
-            fused_batching: config.fused_batching,
             degrade: config.degrade.clone(),
             faults: config.faults.clone(),
         });
@@ -674,46 +660,35 @@ fn drain_orphans(shared: &WorkerShared) {
     }
 }
 
-/// The reply-side of a dequeued request, separated from its query so the
-/// batch path can borrow the queries while the guard owns the replies.
-struct Pending {
-    submitted_at: Instant,
-    deadline: Option<Deadline>,
-    cancelled: Arc<AtomicBool>,
-    key: Option<QueryKey>,
-    reply: SyncSender<Response>,
-}
-
-/// Owns every in-flight reply of one drained batch. If the worker dies
+/// Owns every in-flight request of one drained batch. If the worker dies
 /// mid-batch (injected death, or a bug in the loop plumbing), the guard's
 /// drop runs during unwind and fails every still-unanswered request with
 /// `WorkerLost` — so even a crashing worker never strands a ticket or
 /// breaks the accounting identity.
 struct BatchGuard<'a> {
-    slots: Vec<Option<Pending>>,
+    slots: Vec<Option<Request>>,
     metrics: &'a Metrics,
 }
 
 impl BatchGuard<'_> {
     // lint: allow_fn(index) - batch slot indices come from enumerate over the same dequeued batch
-    fn take(&mut self, index: usize) -> Option<Pending> {
+    fn take(&mut self, index: usize) -> Option<Request> {
         self.slots[index].take()
     }
 }
 
 impl Drop for BatchGuard<'_> {
     fn drop(&mut self) {
-        for pending in self.slots.drain(..).flatten() {
+        for request in self.slots.drain(..).flatten() {
             self.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            let _ = pending.reply.send(Err(ServeError::WorkerLost));
+            let _ = request.reply.send(Err(ServeError::WorkerLost));
         }
     }
 }
 
 /// Validates, counts, caches, and delivers one request's outcome.
-#[allow(clippy::too_many_arguments)]
 fn deliver(
-    pending: Pending,
+    request: Request,
     result: Result<Estimate, ServeError>,
     rng: &mut Option<StdRng>,
     shared: &WorkerShared,
@@ -742,23 +717,19 @@ fn deliver(
                     Provenance::Tier0Exact => &metrics.tier0_served,
                     Provenance::Tier1Sketch => &metrics.tier1_served,
                     Provenance::Tier2Model | Provenance::CacheHit => &metrics.tier2_served,
-                    Provenance::Relaxed => &metrics.relaxed_served,
                     Provenance::Degraded => &metrics.degraded_served,
                 };
                 tier_counter.fetch_add(1, Ordering::Relaxed);
                 // Degraded answers are deliberately not cached: they would
                 // otherwise keep answering full-quality requests long after
-                // the pressure that justified them has passed. Relaxed
-                // answers are not cached either — the cache key carries no
-                // precision, so a cached relaxed answer would later serve
-                // exact-precision submitters as a CacheHit.
-                if estimate.provenance != Provenance::Degraded && estimate.provenance != Provenance::Relaxed {
-                    if let (Some(cache), Some(key)) = (shared.cache.as_ref(), pending.key) {
+                // the pressure that justified them has passed.
+                if estimate.provenance != Provenance::Degraded {
+                    if let (Some(cache), Some(key)) = (shared.cache.as_ref(), request.key) {
                         cache.insert(key, estimate.clone());
                     }
                 }
                 let stats = ServeStats {
-                    queue_wait: dequeued_at.saturating_duration_since(pending.submitted_at),
+                    queue_wait: dequeued_at.saturating_duration_since(request.submitted_at),
                     execution: estimate.wall_time,
                     worker,
                     batch_size,
@@ -772,16 +743,16 @@ fn deliver(
         }
     };
     // The client may have dropped its ticket; that is not an error.
-    let _ = pending.reply.send(response);
+    let _ = request.reply.send(response);
 }
 
 /// One worker: park on the queue, drain up to `max_batch` live requests
 /// (the queue sheds expired/abandoned ones at this boundary), choose each
-/// request's degradation rung, then answer — plain requests through a
-/// single tiered `estimate_batch` call, deadline-carrying or degraded ones
-/// individually with a disposition re-check right before the walk — until
-/// the queue closes and empties. Successful full-quality answers whose
-/// request carries a cache key are stored for future submitters.
+/// request's degradation rung, then walk the requests one at a time with a
+/// disposition re-check right before each walk, answering each as soon as
+/// its own walk ends — until the queue closes and empties. Successful
+/// full-quality answers whose request carries a cache key are stored for
+/// future submitters.
 // lint: allow_fn(index) - batch slot indices come from enumerate over the same dequeued batch
 fn worker_loop(worker: usize, generation: u64, mut session: TieredSession, shared: &WorkerShared) {
     let metrics = &shared.metrics;
@@ -791,7 +762,6 @@ fn worker_loop(worker: usize, generation: u64, mut session: TieredSession, share
         .then(|| StdRng::seed_from_u64(shared.faults.seed ^ ((worker as u64 + 1) << 32) ^ generation));
     let mut batch: Vec<Request> = Vec::with_capacity(shared.max_batch);
     let mut dropped: Vec<(Request, Disposition)> = Vec::new();
-    let mut queries: Vec<Query> = Vec::with_capacity(shared.max_batch);
     while shared.queue.pop_batch(shared.max_batch, &mut batch, &mut dropped) {
         let dequeued_at = Instant::now();
         for (request, disposition) in dropped.drain(..) {
@@ -814,27 +784,17 @@ fn worker_loop(worker: usize, generation: u64, mut session: TieredSession, share
         let batch_size = batch.len();
         metrics.batches.fetch_add(1, Ordering::Relaxed);
 
-        queries.clear();
-        let mut routes: Vec<Route> = Vec::with_capacity(batch_size);
-        let mut slots: Vec<Option<Pending>> = Vec::with_capacity(batch_size);
-        for request in batch.drain(..) {
-            let route = match &shared.degrade {
+        let routes: Vec<Route> = batch
+            .iter()
+            .map(|request| match &shared.degrade {
                 Some(policy) => policy.route(request.deadline.map(|d| d.remaining()), depth),
                 None => Route::Full,
-            };
-            routes.push(route);
-            queries.push(request.query);
-            slots.push(Some(Pending {
-                submitted_at: request.submitted_at,
-                deadline: request.deadline,
-                cancelled: request.cancelled,
-                key: request.key,
-                reply: request.reply,
-            }));
-        }
-        // From here on the guard owns the replies: a worker death (injected
-        // or real) fails everything unanswered instead of stranding it.
-        let mut guard = BatchGuard { slots, metrics };
+            })
+            .collect();
+        // From here on the guard owns the requests: a worker death
+        // (injected or real) fails everything unanswered instead of
+        // stranding it.
+        let mut guard = BatchGuard { slots: batch.drain(..).map(Some).collect(), metrics };
         if let Some(rng) = rng.as_mut() {
             if shared.faults.death_probability > 0.0 && rng.gen_bool(shared.faults.death_probability) {
                 // lint: allow(panic) - deliberate fault injection driving the watchdog/respawn chaos tests
@@ -842,77 +802,31 @@ fn worker_loop(worker: usize, generation: u64, mut session: TieredSession, share
             }
         }
 
-        // Fused fast path: full-quality, deadline-less, uncancelled
-        // requests go through one prefix-memoizing `estimate_batch` call
-        // (bit-identical to sequential estimates) that sorts constraints
-        // across the whole batch so shared column prefixes execute once.
-        // Per-request faults force the slow path so injection sites stay
-        // per-request; `fused_batching: false` forces it for everything.
-        let batchable: Vec<usize> = (0..batch_size)
-            .filter(|&i| {
-                shared.fused_batching
-                    && rng.is_none()
-                    && routes[i] == Route::Full
-                    && guard.slots[i]
-                        .as_ref()
-                        .is_some_and(|p| p.deadline.is_none() && !p.cancelled.load(Ordering::Relaxed))
-            })
-            .collect();
-        if !batchable.is_empty() {
-            // Contain estimator panics: a panicking density must not kill
-            // the worker. If the batch call unwinds, fall through to the
-            // individual path so only the poisoning request(s) fail — the
-            // walk fully reinitializes the session scratch per estimate,
-            // so reuse after a panic is safe.
-            let subset: Vec<Query>;
-            let batch_queries: &[Query] = if batchable.len() == batch_size {
-                &queries
-            } else {
-                subset = batchable.iter().map(|&i| queries[i].clone()).collect();
-                &subset
-            };
-            if let Ok(results) = catch_unwind(AssertUnwindSafe(|| session.estimate_batch(batch_queries))) {
-                metrics.fused_batches.fetch_add(1, Ordering::Relaxed);
-                for (&i, result) in batchable.iter().zip(results) {
-                    if let Some(pending) = guard.take(i) {
-                        deliver(
-                            pending,
-                            result.map_err(ServeError::Estimate),
-                            &mut rng,
-                            shared,
-                            worker,
-                            batch_size,
-                            dequeued_at,
-                        );
-                    }
-                }
-            }
-        }
-
-        // Individual path: everything still pending — deadline-carrying,
-        // degraded, fault-injected, or survivors of a batch-call unwind.
-        for i in 0..batch_size {
-            let Some(pending) = guard.slots[i].as_ref() else { continue };
+        for (i, &route) in routes.iter().enumerate() {
+            let Some(request) = guard.slots[i].as_ref() else { continue };
             // Re-check disposition immediately before the walk: a deadline
             // that expired while earlier batch-mates executed sheds here,
             // never reaching the estimator.
-            if pending.cancelled.load(Ordering::Relaxed) {
+            if request.cancelled.load(Ordering::Relaxed) {
                 let _ = guard.take(i);
                 metrics.cancelled.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            if pending.deadline.is_some_and(|deadline| deadline.is_expired()) {
+            if request.deadline.is_some_and(|deadline| deadline.is_expired()) {
                 // lint: allow(panic) - slot occupancy was checked by the enclosing loop; take() on a live slot cannot fail
-                let pending = guard.take(i).expect("slot checked above");
+                let request = guard.take(i).expect("slot checked above");
                 metrics.shed.fetch_add(1, Ordering::Relaxed);
-                let _ = pending.reply.send(Err(ServeError::DeadlineExceeded));
+                let _ = request.reply.send(Err(ServeError::DeadlineExceeded));
                 continue;
             }
             let inject_panic = rng.as_mut().is_some_and(|rng| {
                 shared.faults.panic_probability > 0.0 && rng.gen_bool(shared.faults.panic_probability)
             });
-            let route = routes[i];
-            let query = &queries[i];
+            // Contain estimator panics: a panicking density must not kill
+            // the worker. The walk reinitializes the session scratch per
+            // estimate and its prefix memo only ever holds completed
+            // columns, so reuse after a panic is safe.
+            let query = &request.query;
             let result = catch_unwind(AssertUnwindSafe(|| {
                 if inject_panic {
                     // lint: allow(panic) - deliberate fault injection; caught by the catch_unwind directly above
@@ -935,8 +849,8 @@ fn worker_loop(worker: usize, generation: u64, mut session: TieredSession, share
                 Err(_) => Err(ServeError::Panicked),
             };
             // lint: allow(panic) - the cancelled/expired branches above take the slot and `continue`; reaching here means it is still live
-            let pending = guard.take(i).expect("slot checked above");
-            deliver(pending, result, &mut rng, shared, worker, batch_size, dequeued_at);
+            let request = guard.take(i).expect("slot checked above");
+            deliver(request, result, &mut rng, shared, worker, batch_size, dequeued_at);
         }
     }
 }
@@ -944,8 +858,10 @@ fn worker_loop(worker: usize, generation: u64, mut session: TieredSession, share
 #[cfg(test)]
 mod tests {
     use super::*;
-    use naru_core::IndependentDensity;
+    use naru_core::{ConditionalDensity, IndependentDensity};
     use naru_query::{EstimateError, Predicate};
+    use naru_tensor::Matrix;
+    use std::sync::{Condvar, Mutex};
 
     fn tiny_engine() -> Engine {
         Engine::new(IndependentDensity::uniform(&[8, 4]), 1_000).with_samples(64)
@@ -1045,38 +961,94 @@ mod tests {
         }
         let metrics = server.shutdown();
         assert_eq!(metrics.served, 3);
-        assert_eq!(
-            metrics.tier0_served
-                + metrics.tier1_served
-                + metrics.tier2_served
-                + metrics.relaxed_served
-                + metrics.degraded_served,
-            3
-        );
+        assert_eq!(metrics.tier0_served + metrics.tier1_served + metrics.tier2_served + metrics.degraded_served, 3);
         // A stats-less engine without pressure serves through the model
-        // tier, in exact precision.
+        // tier.
         assert_eq!(metrics.tier2_served, 3);
-        assert_eq!(metrics.relaxed_served, 0);
         assert_eq!(metrics.cache_hits, 0);
+        assert_eq!((metrics.fused_batches, metrics.relaxed_served), (0, 0), "retired counters stay at zero");
+    }
+
+    /// Per-column gates: a walk parks on column `c` until gate `c` opens.
+    #[derive(Default)]
+    struct ColumnGates {
+        state: Mutex<([bool; 3], [usize; 3])>,
+        cv: Condvar,
+    }
+
+    impl ColumnGates {
+        fn open(&self, col: usize) {
+            self.state.lock().unwrap().0[col] = true;
+            self.cv.notify_all();
+        }
+
+        fn wait_entered(&self, col: usize) {
+            let mut state = self.state.lock().unwrap();
+            while state.1[col] == 0 {
+                state = self.cv.wait(state).unwrap();
+            }
+        }
+    }
+
+    /// A uniform three-column density whose column-1 and column-2
+    /// conditionals park on their gates; column 0 never blocks.
+    struct GatedDensity {
+        inner: IndependentDensity,
+        gates: Arc<ColumnGates>,
+    }
+
+    impl ConditionalDensity for GatedDensity {
+        fn num_columns(&self) -> usize {
+            self.inner.num_columns()
+        }
+
+        fn domain_sizes(&self) -> &[usize] {
+            self.inner.domain_sizes()
+        }
+
+        fn conditionals(&self, tuples: &[Vec<u32>], col: usize) -> Matrix {
+            if col > 0 {
+                let mut state = self.gates.state.lock().unwrap();
+                state.1[col] += 1;
+                self.gates.cv.notify_all();
+                while !state.0[col] {
+                    state = self.gates.cv.wait(state).unwrap();
+                }
+            }
+            self.inner.conditionals(tuples, col)
+        }
     }
 
     #[test]
-    fn disabling_fused_batching_preserves_answers_and_zeroes_the_counter() {
-        let q = Query::new(vec![Predicate::le(0, 3), Predicate::ge(1, 1)]);
-        let fused = start(ServeConfig::default().with_workers(1).with_max_batch(8));
-        let fused_answer = fused.estimate(&q).unwrap();
-        let fused_metrics = fused.shutdown();
-        assert!(fused_metrics.fused_batches >= 1, "default config answers through the fused path");
+    fn each_drained_request_is_answered_when_its_own_walk_ends() {
+        let gates = Arc::new(ColumnGates::default());
+        let density = GatedDensity { inner: IndependentDensity::uniform(&[4, 4, 4]), gates: Arc::clone(&gates) };
+        let engine = Engine::new(density, 1_000).with_samples(16);
+        let server = Server::start(engine, ServeConfig::default().with_workers(1).with_max_batch(4)).unwrap();
 
-        let individual = start(ServeConfig::default().with_workers(1).with_max_batch(8).with_fused_batching(false));
-        let individual_answer = individual.estimate(&q).unwrap();
-        let individual_metrics = individual.shutdown();
-        assert_eq!(individual_metrics.fused_batches, 0, "disabled fused path must never run");
-        assert_eq!(individual_metrics.served, 1);
-        // Same engine knobs, same per-query re-seeding: the two paths agree
-        // bit for bit.
-        assert_eq!(individual_answer.estimate.selectivity, fused_answer.estimate.selectivity);
-        assert_eq!(individual_answer.estimate.live_paths, fused_answer.estimate.live_paths);
+        // Park the worker on column 1 of a head request, so the next two
+        // requests queue up behind it and are drained together.
+        let head = server.submit(Query::new(vec![Predicate::ge(1, 1)])).unwrap();
+        gates.wait_entered(1);
+        let quick = server.submit(Query::new(vec![Predicate::le(0, 1)])).unwrap();
+        let blocked = server.submit(Query::new(vec![Predicate::eq(2, 0)])).unwrap();
+        gates.open(1);
+        assert_eq!(head.wait().unwrap().estimate.selectivity, 0.75);
+
+        // `quick` walks column 0 only; its batch-mate parks on column 2.
+        // The quick answer must arrive while that second walk is held.
+        // Open the gate before asserting, so a failure cannot leave the
+        // worker parked and the server's drop hanging.
+        let early = quick.wait_timeout(Duration::from_secs(10));
+        gates.open(2);
+        let quick = early.expect("a finished walk waited for its blocked batch-mate").unwrap();
+        assert_eq!(quick.stats.batch_size, 2, "both requests were drained into one batch");
+        assert_eq!(quick.estimate.selectivity, 0.5);
+        assert_eq!(blocked.wait().unwrap().estimate.selectivity, 0.25);
+        let metrics = server.shutdown();
+        assert_eq!(metrics.served, 3);
+        assert_eq!(metrics.batches, 2);
+        assert_eq!(metrics.accounted(), metrics.accepted);
     }
 
     #[test]

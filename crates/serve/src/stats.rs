@@ -35,11 +35,9 @@ pub(crate) struct Metrics {
     pub shed: AtomicU64,
     pub cancelled: AtomicU64,
     pub batches: AtomicU64,
-    pub fused_batches: AtomicU64,
     pub tier0_served: AtomicU64,
     pub tier1_served: AtomicU64,
     pub tier2_served: AtomicU64,
-    pub relaxed_served: AtomicU64,
     pub degraded_served: AtomicU64,
     pub worker_respawns: AtomicU64,
 }
@@ -58,11 +56,11 @@ impl Metrics {
             shed: self.shed.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            fused_batches: self.fused_batches.load(Ordering::Relaxed),
+            fused_batches: 0,
             tier0_served: self.tier0_served.load(Ordering::Relaxed),
             tier1_served: self.tier1_served.load(Ordering::Relaxed),
             tier2_served: self.tier2_served.load(Ordering::Relaxed),
-            relaxed_served: self.relaxed_served.load(Ordering::Relaxed),
+            relaxed_served: 0,
             degraded_served: self.degraded_served.load(Ordering::Relaxed),
             worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
             cache_hits: 0,
@@ -86,10 +84,10 @@ impl Metrics {
 ///   [`ServeConfig::cache_capacity`](crate::ServeConfig::cache_capacity).
 ///
 /// All three stay `0` when the cache is disabled (the default). The
-/// `tier*_served` + `relaxed_served` + `degraded_served` counters split
-/// `served` by the [`Provenance`](naru_query::Provenance) of each
-/// worker-produced answer: `tier0_served + tier1_served + tier2_served +
-/// relaxed_served + degraded_served == served`.
+/// `tier*_served` + `degraded_served` counters split `served` by the
+/// [`Provenance`](naru_query::Provenance) of each worker-produced answer:
+/// `tier0_served + tier1_served + tier2_served + degraded_served ==
+/// served`.
 ///
 /// The request-lifecycle **accounting identity**: every request admitted
 /// into the queue leaves it in exactly one of four ways, so after the
@@ -121,11 +119,10 @@ pub struct MetricsSnapshot {
     pub cancelled: u64,
     /// Micro-batches executed across all workers.
     pub batches: u64,
-    /// Micro-batches answered through the cross-request fused batch walk
-    /// (one prefix-memoizing `estimate_batch` call over the whole drained
-    /// batch); always `0` when
-    /// [`ServeConfig::fused_batching`](crate::ServeConfig::fused_batching)
-    /// is off.
+    /// Always `0`. The server answers every drained request with its own
+    /// walk and has no fused batch path; the field stays so that code
+    /// building or reading snapshots keeps compiling. Not part of
+    /// [`MetricsSnapshot::to_json`].
     pub fused_batches: u64,
     /// Served answers proven exactly by table statistics (tier 0).
     pub tier0_served: u64,
@@ -133,8 +130,10 @@ pub struct MetricsSnapshot {
     pub tier1_served: u64,
     /// Served answers from the model's progressive sampler (tier 2).
     pub tier2_served: u64,
-    /// Served answers from the tier-2 walk in relaxed (quantized-weight)
-    /// precision, tagged [`Provenance::Relaxed`](naru_query::Provenance).
+    /// Always `0`. Every model walk runs in exact f32 precision; the field
+    /// stays so that code building or reading snapshots keeps compiling.
+    /// Not part of [`MetricsSnapshot::to_json`] or of the `served`
+    /// partition.
     pub relaxed_served: u64,
     /// Served answers produced through a degraded rung (reduced-sample walk
     /// or forced sketch) under deadline or overload pressure.
@@ -171,8 +170,9 @@ impl MetricsSnapshot {
     /// Renders the snapshot as a pretty-printed JSON object. The one
     /// canonical rendering, shared by the network front end's `/metrics`
     /// endpoint and `bench_serve`'s report, so the two never drift: every
-    /// counter field plus the derived `accounted` and `cache_hit_rate`
-    /// (`null` before any cache lookup).
+    /// live counter field plus the derived `accounted` and `cache_hit_rate`
+    /// (`null` before any cache lookup). The always-zero `fused_batches`
+    /// and `relaxed_served` are left out.
     pub fn to_json(&self) -> String {
         self.to_json_indented(0)
     }
@@ -184,7 +184,7 @@ impl MetricsSnapshot {
     pub fn to_json_indented(&self, level: usize) -> String {
         let pad = "  ".repeat(level + 1);
         let mut out = String::from("{\n");
-        let fields: [(&str, u64); 17] = [
+        let fields: [(&str, u64); 15] = [
             ("accepted", self.accepted),
             ("rejected", self.rejected),
             ("served", self.served),
@@ -193,11 +193,9 @@ impl MetricsSnapshot {
             ("cancelled", self.cancelled),
             ("accounted", self.accounted()),
             ("batches", self.batches),
-            ("fused_batches", self.fused_batches),
             ("tier0_served", self.tier0_served),
             ("tier1_served", self.tier1_served),
             ("tier2_served", self.tier2_served),
-            ("relaxed_served", self.relaxed_served),
             ("degraded_served", self.degraded_served),
             ("worker_respawns", self.worker_respawns),
             ("cache_hits", self.cache_hits),
@@ -263,14 +261,15 @@ mod tests {
             "\"shed\": 1",
             "\"accounted\": 5",
             "\"cancelled\": 0",
-            "\"fused_batches\": 0",
             "\"tier2_served\": 0",
-            "\"relaxed_served\": 0",
             "\"worker_respawns\": 0",
             "\"cache_evictions\": 0",
             "\"cache_hit_rate\": 0.2500",
         ] {
             assert!(json.contains(field), "missing {field} in:\n{json}");
+        }
+        for retired in ["fused_batches", "relaxed_served"] {
+            assert!(!json.contains(retired), "{retired} is always 0 and not rendered:\n{json}");
         }
         assert!(json.starts_with("{\n") && json.ends_with('}'));
         // No trailing comma before the closing brace.

@@ -20,7 +20,6 @@
 
 pub mod matrix;
 pub mod ops;
-pub mod quant;
 pub mod rng;
 pub mod stats;
 
@@ -30,6 +29,5 @@ pub use ops::{
     matmul_a_bt_into, matmul_at_b, matmul_at_b_into, matmul_into, parallel_threads, set_kernel_policy,
     set_parallel_threads, softmax_rows, softmax_rows_inplace, KernelPolicy,
 };
-pub use quant::{matmul_a_qbt_into, quant_dot, quant_dot4, quant_dot_error_bound, quant_rows_dot_into, QuantMatrix};
 pub use rng::NormalSampler;
 pub use stats::{mean, percentile, quantiles, variance};

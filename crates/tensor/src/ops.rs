@@ -52,14 +52,6 @@ pub enum KernelPolicy {
     /// hardware that reports a single core — the parity tests use it to
     /// exercise multi-threaded row partitioning everywhere.
     Parallel,
-    /// Opt into the relaxed quantized tier: layers that carry per-row i8
-    /// weight mirrors (see [`crate::quant`] and `naru-nn`) route their
-    /// forward passes through them. The plain f32 entry points in this
-    /// module have no quantized implementation and fall back to the
-    /// blocked kernels; the policy only changes behavior where a mirror
-    /// exists, and results there are approximate (bounded error), so
-    /// estimates computed under it are tagged `Provenance::Relaxed`.
-    Quantized,
 }
 
 static KERNEL_POLICY: AtomicU8 = AtomicU8::new(2);
@@ -76,7 +68,6 @@ pub fn kernel_policy() -> KernelPolicy {
         0 => KernelPolicy::Naive,
         1 => KernelPolicy::Blocked,
         3 => KernelPolicy::Parallel,
-        4 => KernelPolicy::Quantized,
         _ => KernelPolicy::Auto,
     }
 }
@@ -509,10 +500,7 @@ enum Impl {
 fn effective_policy(m: usize, n: usize, k: usize) -> Impl {
     match kernel_policy() {
         KernelPolicy::Naive => Impl::Naive,
-        // The f32 entry points have no quantized implementation; under the
-        // quantized policy they run the blocked kernels and only layers
-        // holding i8 mirrors (in `naru-nn`) take the quantized path.
-        KernelPolicy::Blocked | KernelPolicy::Quantized => Impl::Blocked,
+        KernelPolicy::Blocked => Impl::Blocked,
         KernelPolicy::Parallel => Impl::Parallel,
         KernelPolicy::Auto => {
             if m.saturating_mul(n).saturating_mul(k) >= PARALLEL_FLOPS_THRESHOLD && m >= 2 * MIN_ROWS_PER_THREAD {
@@ -741,8 +729,6 @@ mod tests {
         assert_eq!(kernel_policy(), KernelPolicy::Blocked);
         set_kernel_policy(KernelPolicy::Parallel);
         assert_eq!(kernel_policy(), KernelPolicy::Parallel);
-        set_kernel_policy(KernelPolicy::Quantized);
-        assert_eq!(kernel_policy(), KernelPolicy::Quantized);
         set_kernel_policy(KernelPolicy::Auto);
         assert_eq!(kernel_policy(), KernelPolicy::Auto);
         set_kernel_policy(original);
@@ -763,19 +749,6 @@ mod tests {
                 assert!(got[k].to_bits() == expected.to_bits(), "len {len} col {k}: {} vs {expected}", got[k]);
             }
         }
-    }
-
-    #[test]
-    fn quantized_policy_runs_f32_entry_points_on_blocked_kernels() {
-        let original = kernel_policy();
-        let a = Matrix::from_fn(9, 21, |r, c| ((r * 5 + c * 3) % 7) as f32 * 0.4 - 1.0);
-        let b = Matrix::from_fn(13, 21, |r, c| ((r * 3 + c) % 5) as f32 * 0.2 - 0.5);
-        set_kernel_policy(KernelPolicy::Blocked);
-        let blocked = matmul_a_bt(&a, &b);
-        set_kernel_policy(KernelPolicy::Quantized);
-        let quantized_policy = matmul_a_bt(&a, &b);
-        set_kernel_policy(original);
-        assert_eq!(blocked.data(), quantized_policy.data());
     }
 
     #[test]

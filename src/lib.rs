@@ -24,7 +24,7 @@
 //! * [`serve`] — the worker-pool serving subsystem: a priority-aware
 //!   bounded request queue with per-class admission control, per-worker
 //!   tiered sessions, a sharded predicate-keyed [`serve::EstimateCache`],
-//!   opportunistic micro-batching with shared-prefix memoization,
+//!   opportunistic micro-batching, shared-prefix memoized walks,
 //!   deadlines and cancellation ([`serve::SubmitOptions`] /
 //!   [`serve::Ticket`]), deadline-pressure degradation
 //!   ([`serve::DegradePolicy`]), a supervising watchdog with fault
@@ -95,7 +95,7 @@
 //! ([`serve::Server::try_submit`] rejects with
 //! [`serve::ServeError::Overloaded`] when full, [`serve::Server::submit`]
 //! applies backpressure), a pool of workers each owning one `Session`,
-//! opportunistic micro-batching into `estimate_batch`, per-request
+//! opportunistic micro-batching of queued requests, per-request
 //! [`serve::ServeStats`] (queue wait, execution time, worker id), and a
 //! graceful shutdown that drains every accepted request. Requests can
 //! carry a [`serve::Priority`] class and a [`serve::Deadline`]; tickets
@@ -152,7 +152,7 @@ pub use naru_tensor as tensor;
 
 /// Commonly used types, importable with `use naru::prelude::*`.
 pub mod prelude {
-    pub use naru_core::{Engine, NaruConfig, NaruEstimator, Precision, Session, TableStats, TierConfig, TieredSession};
+    pub use naru_core::{Engine, NaruConfig, NaruEstimator, Session, TableStats, TierConfig, TieredSession};
     pub use naru_data::{Column, Table, Value};
     pub use naru_net::{NetConfig, NetServer};
     pub use naru_query::{Estimate, EstimateError, Predicate, Provenance, Query, QueryKey, SelectivityEstimator};

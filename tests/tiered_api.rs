@@ -1,11 +1,12 @@
 //! Property tests for the tiered estimation pipeline: tier-0 answers are
-//! bit-exact, tier-1 answers respect the advertised q-error budget, the
-//! memoized batch path is bit-identical to sequential estimation, and a
-//! served cache hit round-trips the exact estimate of a fresh miss.
+//! bit-exact, tier-1 answers respect the advertised q-error budget,
+//! prefix-memoized walks are bit-identical to fresh sessions whatever the
+//! session answered before, and a served cache hit round-trips the exact
+//! estimate of a fresh miss.
 
 use naru::core::stats::{StatsConfig, TableStats};
 use naru::core::{Engine, IndependentDensity, OracleDensity};
-use naru::query::{q_error_from_selectivity, try_count_matches, Predicate, Provenance, Query};
+use naru::query::{q_error_from_selectivity, try_count_matches, Estimate, Predicate, Provenance, Query};
 use naru::serve::{ServeConfig, Server};
 use proptest::prelude::*;
 
@@ -77,9 +78,12 @@ proptest! {
         prop_assert!(qerr <= budget, "q-error {qerr} exceeds budget {budget} on {:?}", query);
     }
 
-    /// The prefix-memoizing batch path is bit-identical to sequential
-    /// estimation, for arbitrary batches (duplicates and shared prefixes
-    /// included).
+    /// Every model walk resumes from the session's previous walk, so a
+    /// session's answers must not depend on what it answered before: a
+    /// batch, and one tiered session driven through interleaved single
+    /// estimates (repeats and shared prefixes included), a second sample
+    /// count, and tier-0/tier-1 fast-path answers, match fresh sessions
+    /// bit for bit.
     #[test]
     fn memoized_batches_match_sequential_bitwise(
         seed in 0u64..200,
@@ -87,17 +91,37 @@ proptest! {
             proptest::collection::vec(dmv_predicate(), 0..3), 1..6),
     ) {
         let table = naru::data::synthetic::dmv_like(600, seed);
-        let engine = Engine::new(OracleDensity::new(&table), table.num_rows() as u64).with_samples(80);
+        let engine = Engine::new(OracleDensity::new(&table), table.num_rows() as u64)
+            .with_samples(80)
+            .with_table_stats(TableStats::build(&table));
         let queries: Vec<Query> = preds.into_iter().map(Query::new).collect();
+        let fresh = |query: &Query| engine.session().estimate(query).unwrap();
+        let same = |a: &Estimate, b: &Estimate| {
+            (a.selectivity, a.live_paths, a.estimated_rows, a.provenance)
+                == (b.selectivity, b.live_paths, b.estimated_rows, b.provenance)
+        };
 
         let batch = engine.session().estimate_batch(&queries);
-        let mut sequential = engine.session();
         for (query, batched) in queries.iter().zip(batch) {
-            let direct = sequential.estimate(query).unwrap();
-            let batched = batched.unwrap();
-            prop_assert_eq!(direct.selectivity, batched.selectivity);
-            prop_assert_eq!(direct.live_paths, batched.live_paths);
-            prop_assert_eq!(direct.estimated_rows, batched.estimated_rows);
+            prop_assert!(same(&fresh(query), &batched.unwrap()));
+        }
+
+        // Forward then backward: the turn repeats the last query, and the
+        // other repeats sit behind different predecessors.
+        let tier0_probe = Query::new(vec![Predicate::le(6, 900)]);
+        let tier1_probe = Query::new(vec![Predicate::eq(0, 1), Predicate::le(6, 1200)]);
+        let mut tiered = engine.tiered_session();
+        for (i, query) in queries.iter().chain(queries.iter().rev()).enumerate() {
+            let walked = tiered.session_mut().estimate(query).unwrap();
+            prop_assert!(same(&walked, &fresh(query)));
+            if i % 2 == 1 {
+                let reduced = tiered.session_mut().estimate_with_samples(query, 37).unwrap();
+                prop_assert!(same(&reduced, &engine.session().estimate_with_samples(query, 37).unwrap()));
+            }
+            let probe = if i % 3 == 0 { &tier0_probe } else { &tier1_probe };
+            let fast = tiered.estimate(probe).unwrap();
+            prop_assert!(matches!(fast.provenance, Provenance::Tier0Exact | Provenance::Tier1Sketch));
+            prop_assert!(same(&fast, &engine.tiered_session().estimate(probe).unwrap()));
         }
     }
 }
