@@ -6,15 +6,11 @@
 //!   kernels ([`naru_tensor::KernelPolicy::Naive`]) driving the reference
 //!   sampler (allocating per-column `conditionals`, fresh masked vectors,
 //!   no dead-path compaction);
-//! * **optimized** — the current hot path: blocked/parallel `_into`
+//! * **optimized** — the current hot path, one `Session::estimate` per
+//!   query through the Engine/Session API: blocked/parallel `_into`
 //!   kernels, workspace-reused activations, incremental prefix encoding,
 //!   per-block output heads, dead-path compaction, and resumption from the
-//!   previous query's shared column prefix;
-//! * **batched** — the same hot path driven through the Engine/Session
-//!   API's `Session::estimate_batch`: one lock-free session answers the
-//!   whole workload in a single call, reusing its constraint buffer and
-//!   scratch across queries. Its selectivities must match the optimized
-//!   path bit-for-bit (same seed, same kernels).
+//!   previous query's shared column prefix.
 //!
 //! ```text
 //! cargo run --release -p naru-bench --bin bench_infer            # default scale
@@ -27,7 +23,6 @@ use std::cell::Cell;
 use naru_bench::latency::{render_report, time_workload, LatencyStats};
 use naru_core::{NaruConfig, NaruEstimator, ProgressiveSampler, SamplerConfig};
 use naru_data::synthetic::dmv_like;
-use naru_query::Query;
 use naru_query::{generate_workload, WorkloadConfig};
 use naru_tensor::{set_kernel_policy, KernelPolicy};
 use rand::rngs::StdRng;
@@ -84,57 +79,37 @@ fn main() {
     let mut workload = generate_workload(&table, &WorkloadConfig::default(), scale.queries + 1, &mut rng);
     let warm = workload.pop().expect("workload has a warm-up query");
 
-    // The reference sampler shares seed 0 with the estimator's internal one
-    // so both paths walk statistically identical estimates.
+    // The reference sampler shares seed 0 with the engine's sessions so
+    // both paths walk statistically identical estimates.
     let reference_sampler = ProgressiveSampler::new(SamplerConfig { num_samples: scale.num_samples, seed: 0 });
+    let engine = estimator.into_engine();
+    let mut session = engine.session();
 
-    // Warm up both measured paths once — importantly through the *same*
-    // sampler instance the timed loops use, so the optimized pass's scratch
-    // buffers are materialized before the first measured query.
-    let _ = reference_sampler.estimate_detailed_reference(estimator.model(), &warm.query.constraints(n));
-    let _ = reference_sampler.estimate_detailed(estimator.model(), &warm.query.constraints(n));
+    // Warm up both measured paths once, through the same sampler and
+    // session the timed loops use, so their scratch buffers are
+    // materialized before the first measured query.
+    let _ = reference_sampler.estimate_detailed_reference(engine.density(), &warm.query.constraints(n));
+    let _ = session.estimate(&warm.query);
 
     // Baseline: pre-refactor path — naive kernels + allocating reference
     // sampler.
     set_kernel_policy(KernelPolicy::Naive);
     let base_paths = Cell::new(0u64);
     let (base_lat, base_acc) = time_workload(&workload, |lq| {
-        let est = reference_sampler.estimate_detailed_reference(estimator.model(), &lq.query.constraints(n));
+        let est = reference_sampler.estimate_detailed_reference(engine.density(), &lq.query.constraints(n));
         base_paths.set(base_paths.get() + (scale.num_samples * est.columns_walked) as u64);
         est.selectivity
     });
     let baseline = LatencyStats::from_latencies(&base_lat, base_paths.get());
 
-    // Optimized: current hot path with the default kernel policy.
+    // Optimized: current hot path with the default kernel policy. It walks
+    // the same columns with the same path count, so `samples_per_sec`
+    // reports the baseline's nominal work volume.
     set_kernel_policy(KernelPolicy::Auto);
-    let opt_paths = Cell::new(0u64);
     let (opt_lat, opt_acc) = time_workload(&workload, |lq| {
-        let est = reference_sampler.estimate_detailed(estimator.model(), &lq.query.constraints(n));
-        opt_paths.set(opt_paths.get() + (scale.num_samples * est.columns_walked) as u64);
-        est.selectivity
+        session.estimate(&lq.query).expect("generated workload queries are valid").selectivity
     });
-    let optimized = LatencyStats::from_latencies(&opt_lat, opt_paths.get());
-
-    // Batched mode: the Engine/Session API answers the whole workload in
-    // one `estimate_batch` call. Per-query latency comes from each
-    // `Estimate`'s own wall-time; the walk is identical to the optimized
-    // path (same seed, same kernels), so the per-path work volume is too
-    // and `opt_paths` carries over.
-    let engine = estimator.into_engine();
-    let mut session = engine.session();
-    let queries: Vec<Query> = workload.iter().map(|lq| lq.query.clone()).collect();
-    // Warm the session scratch outside the measurement, like the other paths.
-    let _ = session.estimate(&warm.query);
-    let batch_results = session.estimate_batch(&queries);
-    let mut batch_lat = Vec::with_capacity(batch_results.len());
-    let mut batch_acc = 0.0f64;
-    for result in &batch_results {
-        let est = result.as_ref().expect("generated workload queries are valid");
-        batch_lat.push(est.wall_time.as_secs_f64() * 1000.0);
-        batch_acc += est.selectivity;
-    }
-    let batched = LatencyStats::from_latencies(&batch_lat, opt_paths.get());
-    assert_eq!(batch_acc, opt_acc, "batched session must match the optimized path bit-for-bit");
+    let optimized = LatencyStats::from_latencies(&opt_lat, base_paths.get());
 
     // Both paths estimate the same workload with the same seeds, but with
     // different kernel tiers: a conditional probability landing within
@@ -161,17 +136,16 @@ fn main() {
             "\"pre-refactor: naive kernels + allocating conditionals + uncompacted sampler\"".to_string(),
         ),
     ];
-    let report = render_report(&baseline, &optimized, Some(&batched), &meta);
+    let report = render_report(&baseline, &optimized, &meta);
     std::fs::write(&out_path, &report).expect("write BENCH_infer.json");
 
     println!("\n{:>12} {:>10} {:>10} {:>12} {:>14}", "path", "p50 ms", "p95 ms", "queries/s", "samples/s");
-    for (name, stats) in [("baseline", &baseline), ("optimized", &optimized), ("batched", &batched)] {
+    for (name, stats) in [("baseline", &baseline), ("optimized", &optimized)] {
         println!(
             "{:>12} {:>10.2} {:>10.2} {:>12.1} {:>14.0}",
             name, stats.p50_ms, stats.p95_ms, stats.queries_per_sec, stats.samples_per_sec
         );
     }
     println!("\nspeedup (queries/sec): {:.2}x", baseline.mean_ms / optimized.mean_ms);
-    println!("batched vs optimized (queries/sec): {:.3}x", batched.queries_per_sec / optimized.queries_per_sec);
     println!("wrote {out_path}");
 }

@@ -2,11 +2,10 @@
 //! `naru-serve` worker pool, and drives a closed-loop client fleet against
 //! 1/2/4-worker configurations, writing `BENCH_serve.json`:
 //!
-//! * **single_session_batched** — the reference point: one `Session`
-//!   answering the whole request stream through one `estimate_batch` call,
-//!   which walks the requests in order (the `batched` mode of
-//!   `BENCH_infer.json`, re-measured on the same hardware and workload so
-//!   the serve numbers are directly comparable);
+//! * **single_session_sequential** — the reference point: one `Session`
+//!   walking the whole request stream one query at a time, in order (the
+//!   `optimized` mode of `BENCH_infer.json`, re-measured on the same
+//!   hardware and workload so the serve numbers are directly comparable);
 //! * **serve\[\]** — per worker count, two measured phases:
 //!   * *throughput* (open-loop burst): every request submitted up front,
 //!     so workers drain full micro-batches back to back — the sustained
@@ -204,17 +203,17 @@ fn main() {
     let warm = workload.pop().expect("workload has a warm-up query");
     let requests: Vec<Query> = (0..scale.requests).map(|i| workload[i % workload.len()].query.clone()).collect();
 
-    // Reference: one session, one estimate_batch call over the whole
-    // stream — the `batched` mode of BENCH_infer.json on this hardware.
+    // Reference: one session walking the whole stream one query at a time —
+    // the `optimized` mode of BENCH_infer.json on this hardware.
     let mut session = engine.session();
     let _ = session.estimate(&warm.query); // warm the scratch, like bench_infer
-    let batch_start = Instant::now();
-    let batch_results = session.estimate_batch(&requests);
-    let batch_secs = batch_start.elapsed().as_secs_f64();
-    let reference: Vec<f64> =
-        batch_results.iter().map(|r| r.as_ref().expect("generated workload queries are valid").selectivity).collect();
-    let single_session_qps = scale.requests as f64 / batch_secs;
-    println!("single-session batched reference: {single_session_qps:.1} queries/sec");
+    let reference_start = Instant::now();
+    let reference: Vec<f64> = requests
+        .iter()
+        .map(|query| session.estimate(query).expect("generated workload queries are valid").selectivity)
+        .collect();
+    let single_session_qps = scale.requests as f64 / reference_start.elapsed().as_secs_f64();
+    println!("single-session sequential reference: {single_session_qps:.1} queries/sec");
 
     // Open-loop burst: queue the whole stream up front so workers drain
     // full micro-batches back to back, then collect every response. This is
@@ -592,7 +591,7 @@ fn main() {
     let threads_detected = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
     out.push_str(&format!("  \"threads_detected\": {threads_detected},\n"));
     out.push_str(&format!("  \"threads_used\": {skew_workers},\n"));
-    out.push_str(&format!("  \"single_session_batched\": {{\"queries_per_sec\": {single_session_qps:.2}}},\n"));
+    out.push_str(&format!("  \"single_session_sequential\": {{\"queries_per_sec\": {single_session_qps:.2}}},\n"));
     out.push_str("  \"serve\": [\n");
     for (i, run) in runs.iter().enumerate() {
         out.push_str(&format!(
@@ -675,14 +674,14 @@ fn main() {
     // the prefix it shares with its predecessor, as in the pool, and the
     // ratio compares equal work.
     out.push_str(&format!(
-        "  \"best_vs_single_session_batched\": {:.3}\n",
+        "  \"best_vs_single_session_sequential\": {:.3}\n",
         if single_session_qps > 0.0 { best / single_session_qps } else { f64::INFINITY }
     ));
     out.push_str("}\n");
     std::fs::write(&out_path, &out).expect("write BENCH_serve.json");
 
     println!(
-        "\nbest serve throughput: {:.1} queries/sec ({:.3}x single-session batched)",
+        "\nbest serve throughput: {:.1} queries/sec ({:.3}x single-session sequential)",
         best,
         best / single_session_qps
     );

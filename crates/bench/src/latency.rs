@@ -100,34 +100,15 @@ pub fn time_workload(workload: &[LabeledQuery], mut estimate: impl FnMut(&Labele
 
 /// Renders the full `BENCH_infer.json` document. `meta` entries are
 /// `(key, already-serialized JSON value)` pairs describing the run
-/// configuration. `batched`, when present, is the Engine/Session
-/// batched-estimation measurement (`Session::estimate_batch` over the same
-/// workload) and is reported alongside its queries/sec ratio over the
-/// single-query optimized path.
-pub fn render_report(
-    baseline: &LatencyStats,
-    optimized: &LatencyStats,
-    batched: Option<&LatencyStats>,
-    meta: &[(&str, String)],
-) -> String {
+/// configuration.
+pub fn render_report(baseline: &LatencyStats, optimized: &LatencyStats, meta: &[(&str, String)]) -> String {
     let speedup = if optimized.mean_ms > 0.0 { baseline.mean_ms / optimized.mean_ms } else { f64::INFINITY };
-    let vs_optimized = |stats: &LatencyStats| {
-        if optimized.queries_per_sec > 0.0 {
-            stats.queries_per_sec / optimized.queries_per_sec
-        } else {
-            f64::INFINITY
-        }
-    };
     let mut out = String::from("{\n");
     for (key, value) in meta {
         out.push_str(&format!("  \"{key}\": {value},\n"));
     }
     out.push_str(&format!("  \"baseline\": {},\n", baseline.to_json()));
     out.push_str(&format!("  \"optimized\": {},\n", optimized.to_json()));
-    if let Some(batched) = batched {
-        out.push_str(&format!("  \"batched\": {},\n", batched.to_json()));
-        out.push_str(&format!("  \"batched_vs_optimized_queries_per_sec\": {:.3},\n", vs_optimized(batched)));
-    }
     out.push_str(&format!("  \"speedup_queries_per_sec\": {:.2}\n", speedup));
     out.push_str("}\n");
     out
@@ -153,18 +134,11 @@ mod tests {
     #[test]
     fn report_is_valid_enough_json() {
         let stats = LatencyStats::from_latencies(&[1.0, 2.0, 3.0], 30);
-        let json = render_report(
-            &stats,
-            &stats,
-            Some(&stats),
-            &[("rows", "5000".to_string()), ("label", "\"x\"".to_string())],
-        );
+        let json = render_report(&stats, &stats, &[("rows", "5000".to_string()), ("label", "\"x\"".to_string())]);
         assert!(json.starts_with("{\n"));
         assert!(json.trim_end().ends_with('}'));
         assert!(json.contains("\"baseline\": {\"p50_ms\""));
         assert!(json.contains("\"optimized\": "));
-        assert!(json.contains("\"batched\": "));
-        assert!(json.contains("\"batched_vs_optimized_queries_per_sec\": 1.000"));
         assert!(json.contains("\"speedup_queries_per_sec\": 1.00"));
         assert!(json.contains("\"rows\": 5000"));
         // Balanced braces (cheap structural check, no JSON parser vendored).

@@ -84,7 +84,8 @@ pub(crate) struct SamplerScratch {
 
 impl SamplerScratch {
     /// Forgets the previous walk, so the next one starts from column 0.
-    /// Needed only when the walked density changes in place.
+    /// Needed whenever the next walk may run over a different density, or
+    /// over the same one changed in place.
     pub(crate) fn clear_memo(&mut self) {
         self.memo.clear();
     }
@@ -111,12 +112,12 @@ struct PrefixSnapshot {
 /// constraints of columns `0..=i`, restoring a snapshot reproduces the
 /// fresh walk bit-for-bit: the restored RNG continues the identical stream
 /// and the density re-encodes the restored tuples to identical inputs. The
-/// memo is invalidated whenever the density, seed or path count changes.
+/// memo is invalidated whenever the seed or path count changes. It does not
+/// know the density: a scratch whose owner may walk another density must
+/// call [`SamplerScratch::clear_memo`] first.
 #[derive(Debug, Default)]
 struct PrefixMemo {
     valid: bool,
-    /// Address of the memoized walk's density.
-    density: usize,
     num_samples: usize,
     seed: u64,
     /// Compiled constraints of the memoized walk (one per column).
@@ -166,11 +167,11 @@ impl PrefixMemo {
 /// should give each worker its own sampler rather than share one, or
 /// estimates will serialize on the scratch.
 ///
-/// Each estimate resumes from the previous one's shared column prefix
-/// when both walk the same density object, so repeated and near-duplicate
-/// queries skip forward passes. The density is recognized by its address:
-/// a density changed in place between two estimates (trained further,
-/// say) needs a fresh sampler.
+/// The sampler borrows its density per call, so it cannot tell whether
+/// two calls walk the same one: every estimate walks from column 0. To
+/// resume repeated and near-duplicate queries from the previous walk's
+/// shared column prefix, estimate through an owner of the density instead
+/// (an `Engine` session or a `SelectivityEstimator` wrapper).
 pub struct ProgressiveSampler {
     config: SamplerConfig,
     scratch: Mutex<SamplerScratch>,
@@ -198,14 +199,14 @@ impl ProgressiveSampler {
     /// [`ConditionalDensity::conditionals_into`], and *compacts* dead paths
     /// out of the batch after every column — later forward passes shrink
     /// with the live-path count, and the estimate returns early when every
-    /// path dies. Estimates remain deterministic given the seed, and are
-    /// bit-identical whether or not they resume a previous walk.
+    /// path dies. Estimates remain deterministic given the seed.
     pub fn estimate_detailed<D: ConditionalDensity + ?Sized>(
         &self,
         density: &D,
         constraints: &[ColumnConstraint],
     ) -> SampleEstimate {
         let scratch = &mut *self.scratch.lock().unwrap_or_else(|e| e.into_inner());
+        scratch.clear_memo();
         progressive_walk(density, constraints, self.config.num_samples, self.config.seed, scratch)
     }
 }
@@ -217,10 +218,12 @@ impl ProgressiveSampler {
 /// wrappers.
 ///
 /// Every walk checkpoints its per-path state after each column in the
-/// scratch's [`PrefixMemo`]. The next walk over the same density, seed and
-/// path count whose leading compiled constraints match resumes after the
-/// shared columns instead of re-running their forward passes, with a
-/// bit-identical result.
+/// scratch's [`PrefixMemo`]. The next walk at the same seed and path count
+/// whose leading compiled constraints match resumes after the shared
+/// columns instead of re-running their forward passes, with a bit-identical
+/// result. The memo assumes the density is the previous walk's, unchanged:
+/// callers that own their density (and so know it is) pass their scratch
+/// as is; callers that borrow one clear the memo first.
 // lint: allow_fn(index) - walk state is sized to num_columns and the domain widths at entry; column and sample indices stay in bounds by construction
 pub(crate) fn progressive_walk<D: ConditionalDensity + ?Sized>(
     density: &D,
@@ -250,15 +253,9 @@ pub(crate) fn progressive_walk<D: ConditionalDensity + ?Sized>(
     // Longest usable shared prefix: leading columns whose constraints match
     // the memoized walk, capped by the snapshots we actually have and by
     // the columns this query walks at all.
-    let density_id = (density as *const D).cast::<()>() as usize;
     let memo = &mut scratch.memo;
     let mut shared = 0usize;
-    if memo.valid
-        && memo.density == density_id
-        && memo.num_samples == num_samples
-        && memo.seed == seed
-        && memo.constraints.len() == n
-    {
+    if memo.valid && memo.num_samples == num_samples && memo.seed == seed && memo.constraints.len() == n {
         while shared < memo.len && shared <= last_filtered && memo.constraints[shared] == constraints[shared] {
             shared += 1;
         }
@@ -299,7 +296,6 @@ pub(crate) fn progressive_walk<D: ConditionalDensity + ?Sized>(
     // Re-key the memo to this walk: shared snapshots stay, the rest are
     // overwritten as we walk.
     memo.valid = true;
-    memo.density = density_id;
     memo.num_samples = num_samples;
     memo.seed = seed;
     memo.constraints.truncate(shared);
@@ -673,6 +669,24 @@ mod tests {
         for d in [&a, &b, &a] {
             assert_eq!(shared.estimate(d, &c), fresh(d));
         }
+    }
+
+    #[test]
+    fn a_density_rebuilt_in_the_same_slot_walks_afresh() {
+        // Each iteration drops its density and builds the next one in the
+        // same stack slot, so the two share an address: a memo keyed on the
+        // address would resume the dropped density's walk.
+        let config = SamplerConfig { num_samples: 150, seed: 3 };
+        let c = Query::new(vec![Predicate::le(0, 2), Predicate::le(1, 2)]).constraints(2);
+        let shared = ProgressiveSampler::new(config.clone());
+        let mut answers = Vec::new();
+        for (rho, seed) in [(0.9, 13), (0.2, 14)] {
+            let density = OracleDensity::new(&correlated_pair(800, 6, rho, seed));
+            let fresh = ProgressiveSampler::new(config.clone()).estimate(&density, &c);
+            assert_eq!(shared.estimate(&density, &c), fresh);
+            answers.push(fresh);
+        }
+        assert_ne!(answers[0], answers[1]);
     }
 
     #[test]

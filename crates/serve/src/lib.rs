@@ -33,7 +33,7 @@
 //!   `cache_evictions` track the cache; determinism makes hits
 //!   bit-identical to recomputation;
 //! * **micro-batching** — a worker drains up to
-//!   [`ServeConfig::max_batch`] queued requests per wakeup (one by
+//!   [`ServeConfig::max_batch`] queued requests per wakeup (16 by
 //!   default), walks them one at a time and answers each as soon as its
 //!   own walk ends. A model-tier walk resumes from the column prefix it
 //!   shares with the worker's previous walk (prefix memoization), so

@@ -61,9 +61,7 @@ pub struct ServeConfig {
     /// Most requests a worker drains from the queue at once (opportunistic
     /// micro-batching). The worker then walks them one at a time, in
     /// dequeue order, and answers each as soon as its own walk ends. Must
-    /// be at least 1. The default, 1, disables batching: requests a worker
-    /// holds wait behind its walks even when another worker falls idle,
-    /// which lengthens the latency tail.
+    /// be at least 1; 1 disables batching.
     pub max_batch: usize,
     /// Total entries in the predicate-keyed estimate cache consulted before
     /// enqueueing. `0` (the default) disables the cache entirely: every
@@ -93,7 +91,7 @@ impl Default for ServeConfig {
         Self {
             num_workers: workers,
             queue_capacity: 256,
-            max_batch: 1,
+            max_batch: 16,
             cache_capacity: 0,
             cache_shards: 8,
             batch_queue_share: 1.0,
